@@ -450,18 +450,26 @@ def _cmd_regress(args) -> int:
     return 0
 
 
+#: The ``cache.*`` registry counters ``repro cache --stats`` and
+#: ``--profile`` report.
+_CACHE_STATS = ("corrupt", "hits", "misses", "puts")
+
+
 def _cmd_cache(args) -> int:
     from repro.obs import metrics
-    from repro.perf import default_cache
+    from repro.perf import default_store
 
-    cache = default_cache()
+    store = default_store()
     if args.clear:
-        removed = cache.clear()
-        print(f"cache cleared: {removed} record(s) removed from {cache.root}")
+        removed = store.clear()
+        print(f"cache cleared: {removed} record(s) removed from {store.root}")
         return 0
-    print(f"cache root: {cache.root}")
-    print(f"records on disk: {len(cache)} (max {cache.max_entries})")
-    coverage = cache.fingerprint_coverage()
+    print(f"cache root: {store.root}")
+    print(
+        f"records on disk: {len(store)} in {len(store.shards())} shard(s) "
+        f"(max {store.max_entries_per_shard} per shard)"
+    )
+    coverage = store.fingerprint_coverage()
     current = coverage["records"] - coverage["legacy"]
     print(
         f"records with output fingerprint: "
@@ -469,9 +477,8 @@ def _cmd_cache(args) -> int:
         f"(verified {coverage['verified']}, mismatched {coverage['mismatched']}, "
         f"legacy pre-fingerprint {coverage['legacy']})"
     )
-    for stat in sorted(cache.stats):
-        count = metrics.counter(f"cache.{stat}")
-        print(f"this process {stat}: {count}")
+    for stat in _CACHE_STATS:
+        print(f"this process {stat}: {metrics.counter(f'cache.{stat}')}")
     return 0
 
 
@@ -1080,9 +1087,10 @@ def main(argv: list[str] | None = None) -> int:
     if not (args.profile or tracing):
         return _run_command(args)
 
-    from repro.perf import default_cache, profiler, write_bench_json
+    from repro.obs import metrics
+    from repro.perf import profiler, write_bench_json
 
-    cache = default_cache()
+    cache_before = {stat: metrics.counter(f"cache.{stat}") for stat in _CACHE_STATS}
     if args.profile:
         profiler.enable()
     try:
@@ -1094,7 +1102,10 @@ def main(argv: list[str] | None = None) -> int:
         record = profiler.as_dict()
         record["exit_code"] = int(code)
         record["argv"] = raw_argv
-        record["cache"] = dict(cache.stats)
+        record["cache"] = {
+            stat: metrics.counter(f"cache.{stat}") - before
+            for stat, before in cache_before.items()
+        }
         path = write_bench_json(_bench_id(args), record)
         print(f"profile written to {path}")
     if tracing:

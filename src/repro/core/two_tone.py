@@ -29,7 +29,7 @@ Two evaluation paths are provided:
 * **dense** — direct quadrature of ``f`` at every ``(A, phi)`` point
   (:func:`two_tone_fundamental`), ``O(N_A * N_phi * n_samples)``
   nonlinearity calls.  Kept as the accuracy referee and ablation baseline.
-* **fft** — the factorisation behind :func:`two_tone_surface`.  Write
+* **fft** — the factorisation behind :func:`two_tone_surfaces_stacked`.  Write
   ``g(theta, psi) = f(A cos theta + 2 V_i cos psi)``; it is 2pi-periodic in
   both arguments with 2-D Fourier coefficients ``G_{m,k}``.  Substituting
   ``psi = n theta + phi`` and projecting on harmonic ``m`` gives::
@@ -45,9 +45,11 @@ Two evaluation paths are provided:
   adaptively until the spectral tail is below tolerance.
 
 Pre-characterised surfaces are cached in memory per instance and, through
-:mod:`repro.perf.surface_cache`, as content-addressed ``.npz`` records on
-disk, so repeated ``characterize()`` / isoline / lock-range calls
-warm-start across processes and CLI runs.
+the surface store (:mod:`repro.perf.sharded_cache`), as content-addressed
+``.npz`` records on disk, so repeated ``characterize()`` / isoline /
+lock-range calls warm-start across processes and CLI runs.
+:func:`precharacterize` is the one path records take, for a scalar
+prediction and a whole sweep grid alike.
 
 Conventions
 -----------
@@ -71,7 +73,7 @@ from repro.core.describing_function import DEFAULT_SAMPLES
 from repro.nonlin.base import Nonlinearity
 from repro.obs import metrics
 from repro.perf.fingerprint import array_hash, combine_keys, nonlinearity_fingerprint
-from repro.perf.surface_cache import default_cache
+from repro.perf.sharded_cache import default_store
 from repro.perf.timers import timed
 from repro.robust.guards import guard_finite
 from repro.utils.grids import Grid2D
@@ -81,6 +83,7 @@ __all__ = [
     "two_tone_fundamental",
     "two_tone_surface",
     "two_tone_surfaces_stacked",
+    "precharacterize",
     "surface_disk_key",
     "TwoToneSurface",
     "TwoToneDF",
@@ -183,52 +186,6 @@ def two_tone_fundamental(
 # -- FFT-factorised pre-characterisation --------------------------------------
 
 
-def _surface_coefficients(
-    nonlinearity: Nonlinearity,
-    amplitudes: np.ndarray,
-    v_i: float,
-    n: int,
-    n_samples: int,
-    n_psi: int,
-    m_orders: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One pass of the factorisation at a fixed psi resolution.
-
-    Returns ``(k_orders, coefficients)`` with ``coefficients`` of shape
-    ``(len(m_orders), len(amplitudes), len(k_orders))`` such that::
-
-        I_m(A_i, phi) = sum_k coefficients[m_row, i, k] * exp(j k phi)
-    """
-    s = int(n_samples)
-    p = int(n_psi)
-    theta = 2.0 * np.pi * np.arange(s) / s
-    psi = 2.0 * np.pi * np.arange(p) / p
-    cos_theta = np.cos(theta)
-    injected = 2.0 * v_i * np.cos(psi)
-
-    # Exclude the unpaired Nyquist line k = -p/2 (even p); for p = 1 this
-    # keeps exactly the DC line k = 0.
-    k_orders = np.arange(-((p - 1) // 2), (p + 1) // 2)
-    m_idx = (m_orders[:, None] - n * k_orders[None, :]) % s
-    k_idx = k_orders % p
-
-    n_a = amplitudes.size
-    coeffs = np.empty((m_orders.size, n_a, k_orders.size), dtype=complex)
-    rows = max(1, _CHUNK_BUDGET // (s * p))
-    for start in range(0, n_a, rows):
-        stop = min(start + rows, n_a)
-        v_in = (
-            amplitudes[start:stop, None, None] * cos_theta[None, :, None]
-            + injected[None, None, :]
-        )
-        g = np.asarray(nonlinearity(v_in), dtype=float)
-        spectrum = np.fft.fft2(g, axes=(1, 2)) / (s * p)
-        coeffs[:, start:stop, :] = np.transpose(
-            spectrum[:, m_idx, k_idx], (1, 0, 2)
-        )
-    return k_orders, coeffs
-
-
 def _stacked_coefficients(
     nonlinearity: Nonlinearity,
     amplitudes: np.ndarray,
@@ -242,11 +199,15 @@ def _stacked_coefficients(
 
     ``amplitudes`` and ``v_is`` are flat, equal-length row vectors: row
     ``r`` evaluates ``g(theta, psi) = f(A_r cos theta + 2 V_r cos psi)``.
+    Returns ``(k_orders, coefficients)`` with ``coefficients`` of shape
+    ``(len(m_orders), len(amplitudes), len(k_orders))`` such that::
+
+        I_m(A_r, phi) = sum_k coefficients[m_row, r, k] * exp(j k phi)
+
     Because the nonlinearity is elementwise and the 2-D FFT acts on axes
-    (theta, psi) only, every row's coefficients are bitwise identical to a
-    per-``V_i`` :func:`_surface_coefficients` build — which is what lets a
-    sweep characterise a whole injection-magnitude grid in one vectorised
-    pass without perturbing any cached or golden number.
+    (theta, psi) only, a row's coefficients do not depend on which other
+    rows share the pass — a batch of one and a whole sweep grid produce
+    bitwise identical numbers.
     """
     s = int(n_samples)
     p = int(n_psi)
@@ -255,6 +216,8 @@ def _stacked_coefficients(
     cos_theta = np.cos(theta)
     cos_psi = np.cos(psi)
 
+    # Exclude the unpaired Nyquist line k = -p/2 (even p); for p = 1 this
+    # keeps exactly the DC line k = 0.
     k_orders = np.arange(-((p - 1) // 2), (p + 1) // 2)
     m_idx = (m_orders[:, None] - n * k_orders[None, :]) % s
     k_idx = k_orders % p
@@ -277,6 +240,12 @@ def _stacked_coefficients(
     return k_orders, coeffs
 
 
+def _tail(k_orders: np.ndarray, block: np.ndarray, n_psi: int) -> float:
+    """The ``I_1`` spectral tail (``|k| > n_psi / 4``) of one coefficient block."""
+    tail_band = np.abs(k_orders) > n_psi // 4
+    return float(np.abs(block[0][:, tail_band]).max()) if tail_band.any() else 0.0
+
+
 def two_tone_surfaces_stacked(
     nonlinearity: Nonlinearity,
     amplitudes: np.ndarray,
@@ -287,19 +256,49 @@ def two_tone_surfaces_stacked(
     m_max: int = _DEFAULT_M_MAX,
     tol: float = _FFT_TOL,
 ) -> list[TwoToneSurface]:
-    """Pre-characterise one amplitude grid at many injection magnitudes.
+    """Pre-characterise ``I_m(A, phi)`` over an amplitude grid by 2-D FFT.
 
-    Returns one :class:`TwoToneSurface` per entry of ``v_is``, each
-    **bitwise identical** to what :func:`two_tone_surface` produces for
-    that ``v_i`` alone (same adaptive psi ladder, same probe subset, same
-    full-grid re-verification and one-doubling rule) — the sweep engine
-    and the scalar solver therefore interchange surfaces freely, and the
-    cached records they write collide on content address.
+    Evaluates ``g(theta, psi) = f(A cos theta + 2 V_i cos psi)`` on an
+    ``S_theta x S_psi`` grid per amplitude, takes its 2-D FFT, and keeps
+    the diagonal slices ``G_{m - n k, k}`` — the phi-Fourier coefficients
+    of every harmonic ``I_m(A, phi)``.  The nonlinearity call count is
+    ``O(N_A * S_theta * S_psi)``, independent of any later phi grid.
+    Returns one :class:`TwoToneSurface` per entry of ``v_is``; this is the
+    only surface builder (:func:`two_tone_surface` is a batch of one).
 
-    The amortisation: the psi-resolution ladder is probed per ``v_i`` on
-    the cheap 5-amplitude subset as before, but the expensive full-grid
-    builds are grouped by the resolution each probe settled on and run as
-    stacked ``(V_i x A)`` rows through one chunked FFT pass per group.
+    Parameters
+    ----------
+    nonlinearity, n, n_samples:
+        As in :func:`two_tone_fundamental`.
+    amplitudes:
+        Strictly positive amplitude grid (the surfaces' y axis).
+    v_is:
+        Injection phasor magnitudes, one surface each.
+    m_max:
+        Highest harmonic stored; ``I_1 .. I_m_max`` all come from the same
+        FFTs.
+    tol:
+        Target absolute agreement (amps) with the dense quadrature.  The
+        psi resolution is doubled until the ``I_1`` spectral tail
+        (``|k| > S_psi / 4``) falls below ``tol / 8`` — the tail is an
+        empirical upper proxy for the aliasing error — or the cap is hit.
+
+    Every pass runs stacked ``(V_i, A)`` rows through one chunked FFT
+    (:func:`_stacked_coefficients`), so batching changes no number:
+
+    * ``v_i = 0`` has no injected tone; only the ``k = 0`` line survives.
+    * Otherwise the psi-resolution ladder is walked on a spread 5-amplitude
+      probe subset (the spectrum broadens monotonically-ish with swing, so
+      the subset bounds the full grid well), every ``V_i`` still climbing
+      sharing one pass per rung.  A smooth law shows geometric tail decay
+      and settles quickly; a non-smooth law (polynomial decay) is detected
+      after two rungs and gets a non-converged marker surface — the probe
+      amplitudes at the first rung, with the measured tail — whose
+      consumers fall back to the dense quadrature without touching its
+      coefficients.
+    * The full-grid builds run stacked per settled resolution.  Each
+      ``V_i``'s tail is re-verified on its own block, and one doubling is
+      allowed if the probe was slightly optimistic.
     """
     n = _validate_order(n)
     amplitudes = np.asarray(amplitudes, dtype=float)
@@ -317,110 +316,78 @@ def two_tone_surfaces_stacked(
     m_orders = np.arange(1, int(m_max) + 1)
     threshold = tol / 8.0
 
-    def build_one(v_i: float, p: int, amps: np.ndarray):
-        k_orders, coeffs = _surface_coefficients(
-            nonlinearity, amps, v_i, n, n_samples, p, m_orders
+    def stacked(amps: np.ndarray, positions: list[int], p: int):
+        """``k_orders`` and one coefficient block per position, at resolution p."""
+        vis = np.repeat([v_is[pos] for pos in positions], amps.size)
+        k_orders, coeffs = _stacked_coefficients(
+            nonlinearity, np.tile(amps, len(positions)), vis, n, n_samples, p,
+            m_orders,
         )
-        tail_band = np.abs(k_orders) > p // 4
-        tail = (
-            float(np.abs(coeffs[0][:, tail_band]).max()) if tail_band.any() else 0.0
+        return k_orders, np.split(coeffs, len(positions), axis=1)
+
+    surfaces: dict[int, TwoToneSurface] = {}
+
+    def finish(pos, amps, k_orders, block, p, tail) -> None:
+        surfaces[pos] = TwoToneSurface(
+            amplitudes=amps,
+            k_orders=k_orders,
+            m_orders=m_orders,
+            coefficients=np.ascontiguousarray(block),
+            v_i=v_is[pos],
+            n=n,
+            n_samples=int(n_samples),
+            n_psi=int(p),
+            tol=float(tol),
+            tail=float(tail),
         )
-        return k_orders, coeffs, tail
+
+    silent = [pos for pos, v_i in enumerate(v_is) if v_i == 0.0]
+    if silent:
+        k_orders, blocks = stacked(amplitudes, silent, 1)
+        for pos, block in zip(silent, blocks):
+            finish(pos, amplitudes, k_orders, block, 1, 0.0)
 
     probe_idx = np.unique(
         np.linspace(0, amplitudes.size - 1, min(5, amplitudes.size)).astype(int)
     )
     probe_amps = amplitudes[probe_idx]
-
-    surfaces: dict[int, TwoToneSurface] = {}
-    #: psi resolution -> list of (result position, v_i) full builds to run.
-    grouped: dict[int, list[tuple[int, float]]] = {}
-    for pos, v_i in enumerate(v_is):
-        if v_i == 0.0:
-            # No injected tone: the k = 0 line only, exactly as the scalar
-            # builder's special case.
-            k_orders, coeffs = _surface_coefficients(
-                nonlinearity, amplitudes, 0.0, n, n_samples, 1, m_orders
-            )
-            surfaces[pos] = TwoToneSurface(
-                amplitudes=amplitudes,
-                k_orders=k_orders,
-                m_orders=m_orders,
-                coefficients=coeffs,
-                v_i=0.0,
-                n=n,
-                n_samples=int(n_samples),
-                n_psi=1,
-                tol=float(tol),
-                tail=0.0,
-            )
-            continue
-        # The scalar builder's probe ladder, verbatim.
-        p_star = None
-        prev_tail = None
-        p = _MIN_PSI
-        tail = np.inf
-        while p <= _MAX_PSI:
-            _, _, tail = build_one(v_i, p, probe_amps)
+    #: psi resolution -> [(position, already doubled)] full builds to run.
+    settled: dict[int, list[tuple[int, bool]]] = {}
+    first_rung: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    prev_tail: dict[int, float] = {}
+    climbing = [pos for pos, v_i in enumerate(v_is) if v_i != 0.0]
+    p = _MIN_PSI
+    while climbing:
+        k_orders, blocks = stacked(probe_amps, climbing, p)
+        still = []
+        for pos, block in zip(climbing, blocks):
+            tail = _tail(k_orders, block, p)
+            first_rung.setdefault(pos, (k_orders, block))
             if tail <= threshold:
-                p_star = p
-                break
-            if prev_tail is not None and tail > 0.05 * prev_tail:
-                break  # polynomial decay: no reachable resolution converges
-            prev_tail = tail
-            p *= 2
-        if p_star is None:
-            k_orders, coeffs, _ = build_one(v_i, _MIN_PSI, probe_amps)
-            surfaces[pos] = TwoToneSurface(
-                amplitudes=probe_amps,
-                k_orders=k_orders,
-                m_orders=m_orders,
-                coefficients=coeffs,
-                v_i=v_i,
-                n=n,
-                n_samples=int(n_samples),
-                n_psi=_MIN_PSI,
-                tol=float(tol),
-                tail=float(max(tail, 2.0 * threshold)),
-            )
-            continue
-        grouped.setdefault(p_star, []).append((pos, v_i, False))
+                settled.setdefault(p, []).append((pos, False))
+            elif 2 * p > _MAX_PSI or (
+                pos in prev_tail and tail > 0.05 * prev_tail[pos]
+            ):
+                # The cap, or polynomial decay: no reachable resolution
+                # converges.
+                finish(pos, probe_amps, *first_rung[pos], _MIN_PSI,
+                       max(tail, 2.0 * threshold))
+            else:
+                prev_tail[pos] = tail
+                still.append(pos)
+        climbing = still
+        p *= 2
 
-    # Full-grid builds, stacked per settled psi resolution.  The per-v_i
-    # tail re-verification (and the scalar builder's single allowed
-    # doubling) happens on each v_i's own coefficient block.
-    n_a = amplitudes.size
-    while grouped:
-        p_star = min(grouped)
-        members = grouped.pop(p_star)
-        amps_rows = np.tile(amplitudes, len(members))
-        vis_rows = np.repeat(np.array([v for _, v, _ in members]), n_a)
-        k_orders, coeffs = _stacked_coefficients(
-            nonlinearity, amps_rows, vis_rows, n, n_samples, p_star, m_orders
-        )
-        tail_band = np.abs(k_orders) > p_star // 4
-        for row, (pos, v_i, doubled) in enumerate(members):
-            block = coeffs[:, row * n_a : (row + 1) * n_a, :]
-            tail = (
-                float(np.abs(block[0][:, tail_band]).max())
-                if tail_band.any()
-                else 0.0
-            )
-            if tail > threshold and not doubled and 2 * p_star <= _MAX_PSI:
-                grouped.setdefault(2 * p_star, []).append((pos, v_i, True))
-                continue
-            surfaces[pos] = TwoToneSurface(
-                amplitudes=amplitudes,
-                k_orders=k_orders,
-                m_orders=m_orders,
-                coefficients=np.ascontiguousarray(block),
-                v_i=v_i,
-                n=n,
-                n_samples=int(n_samples),
-                n_psi=int(p_star),
-                tol=float(tol),
-                tail=tail,
-            )
+    while settled:
+        p = min(settled)
+        members = settled.pop(p)
+        k_orders, blocks = stacked(amplitudes, [pos for pos, _ in members], p)
+        for (pos, doubled), block in zip(members, blocks):
+            tail = _tail(k_orders, block, p)
+            if tail > threshold and not doubled and 2 * p <= _MAX_PSI:
+                settled.setdefault(2 * p, []).append((pos, True))
+            else:
+                finish(pos, amplitudes, k_orders, block, p, tail)
     return [surfaces[pos] for pos in range(len(v_is))]
 
 
@@ -433,142 +400,12 @@ def two_tone_surface(
     *,
     m_max: int = _DEFAULT_M_MAX,
     tol: float = _FFT_TOL,
-    n_psi: int | None = None,
 ) -> "TwoToneSurface":
-    """Pre-characterise ``I_m(A, phi)`` over an amplitude grid by 2-D FFT.
-
-    Evaluates ``g(theta, psi) = f(A cos theta + 2 V_i cos psi)`` on an
-    ``S_theta x S_psi`` grid per amplitude, takes its 2-D FFT, and keeps
-    the diagonal slices ``G_{m - n k, k}`` — the phi-Fourier coefficients
-    of every harmonic ``I_m(A, phi)``.  The nonlinearity call count is
-    ``O(N_A * S_theta * S_psi)``, independent of any later phi grid.
-
-    Parameters
-    ----------
-    nonlinearity, v_i, n, n_samples:
-        As in :func:`two_tone_fundamental`.
-    amplitudes:
-        Strictly positive amplitude grid (the surface's y axis).
-    m_max:
-        Highest harmonic stored; ``I_1 .. I_m_max`` all come from the same
-        FFTs.
-    tol:
-        Target absolute agreement (amps) with the dense quadrature.  The
-        psi resolution is doubled until the ``I_1`` spectral tail
-        (``|k| > S_psi / 4``) falls below ``tol / 8`` — the tail is an
-        empirical upper proxy for the aliasing error — or the cap is hit.
-    n_psi:
-        Fix the psi resolution instead of adapting (used by ablations).
-    """
-    n = _validate_order(n)
-    check_positive("v_i", v_i, strict=False)
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    if n_samples < 8 * n:
-        raise ValueError(
-            f"n_samples={n_samples} too small to resolve the n={n} injection tone"
-        )
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    if amplitudes.ndim != 1 or amplitudes.size < 1:
-        raise ValueError("amplitudes must be a non-empty 1-D grid")
-    m_orders = np.arange(1, int(m_max) + 1)
-
-    if v_i == 0.0:
-        # No injected tone: only k = 0 survives; one 1-D FFT per amplitude.
-        k_orders, coeffs = _surface_coefficients(
-            nonlinearity, amplitudes, 0.0, n, n_samples, 1, m_orders
-        )
-        return TwoToneSurface(
-            amplitudes=amplitudes,
-            k_orders=k_orders,
-            m_orders=m_orders,
-            coefficients=coeffs,
-            v_i=float(v_i),
-            n=n,
-            n_samples=int(n_samples),
-            n_psi=1,
-            tol=float(tol),
-            tail=0.0,
-        )
-
-    def build(p: int, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        k_orders, coeffs = _surface_coefficients(
-            nonlinearity, amps, v_i, n, n_samples, p, m_orders
-        )
-        tail_band = np.abs(k_orders) > p // 4
-        tail = (
-            float(np.abs(coeffs[0][:, tail_band]).max()) if tail_band.any() else 0.0
-        )
-        return k_orders, coeffs, tail
-
-    threshold = tol / 8.0
-    if n_psi is not None:
-        if n_psi < 4:
-            raise ValueError("n_psi must be >= 4")
-        p_star = int(n_psi)
-        k_orders, coeffs, tail = build(p_star, amplitudes)
-    else:
-        # Cheap pre-probe: walk the psi-resolution ladder on a handful of
-        # amplitudes (the spectrum broadens monotonically-ish with swing, so
-        # a spread subset bounds the full grid well).  A smooth law shows
-        # geometric tail decay and quickly yields the resolution to use; a
-        # non-smooth law (polynomial decay) is detected after two rungs and
-        # abandoned immediately instead of burning the whole ladder on the
-        # full grid — its consumers fall back to dense quadrature anyway.
-        probe_idx = np.unique(
-            np.linspace(0, amplitudes.size - 1, min(5, amplitudes.size)).astype(int)
-        )
-        probe_amps = amplitudes[probe_idx]
-        p_star = None
-        prev_tail = None
-        p = _MIN_PSI
-        tail = np.inf
-        while p <= _MAX_PSI:
-            _, _, tail = build(p, probe_amps)
-            if tail <= threshold:
-                p_star = p
-                break
-            if prev_tail is not None and tail > 0.05 * prev_tail:
-                break  # polynomial decay: no reachable resolution converges
-            prev_tail = tail
-            p *= 2
-        if p_star is None:
-            # Non-converged: record a minimal marker surface (probe
-            # amplitudes only) so the decision and the measured tail are
-            # cacheable; consumers check ``converged`` and fall back to the
-            # dense quadrature without touching these coefficients.
-            k_orders, coeffs, _ = build(_MIN_PSI, probe_amps)
-            return TwoToneSurface(
-                amplitudes=probe_amps,
-                k_orders=k_orders,
-                m_orders=m_orders,
-                coefficients=coeffs,
-                v_i=float(v_i),
-                n=n,
-                n_samples=int(n_samples),
-                n_psi=_MIN_PSI,
-                tol=float(tol),
-                tail=float(max(tail, 2.0 * threshold)),
-            )
-        # Full-grid build at the probed resolution; re-verify the tail on
-        # the full amplitude set and allow one doubling if the probe was
-        # slightly optimistic.
-        k_orders, coeffs, tail = build(p_star, amplitudes)
-        if tail > threshold and 2 * p_star <= _MAX_PSI:
-            p_star *= 2
-            k_orders, coeffs, tail = build(p_star, amplitudes)
-    return TwoToneSurface(
-        amplitudes=amplitudes,
-        k_orders=k_orders,
-        m_orders=m_orders,
-        coefficients=coeffs,
-        v_i=float(v_i),
-        n=n,
-        n_samples=int(n_samples),
-        n_psi=int(p_star),
-        tol=float(tol),
-        tail=tail,
-    )
+    """One injection magnitude's surface: :func:`two_tone_surfaces_stacked`
+    on a batch of one."""
+    return two_tone_surfaces_stacked(
+        nonlinearity, amplitudes, [v_i], n, n_samples, m_max=m_max, tol=tol
+    )[0]
 
 
 def surface_disk_key(
@@ -578,11 +415,10 @@ def surface_disk_key(
     n: int,
     n_samples: int = DEFAULT_SAMPLES,
 ) -> str:
-    """The content address :meth:`TwoToneDF.surface` uses for this record.
+    """The content address of one surface record in the store.
 
-    Exposed so batch callers (the sweep engine's sharded cache tier) can
-    look up / deposit exactly the records the scalar solver reads and
-    writes — one key recipe, no cache aliasing between the two paths.
+    :func:`precharacterize` is the only caller that stores records; the
+    golden-manifest gate (:mod:`repro.regress.surfaces`) pins the recipe.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     v_max = float(np.max(np.abs(amplitudes))) + 2.0 * float(v_i)
@@ -596,6 +432,149 @@ def surface_disk_key(
         _FFT_TOL,
         amplitudes,
     )
+
+
+def _shard_of(nonlinearity: Nonlinearity, n: int) -> str:
+    """The store shard of one nonlinearity's records at order ``n``."""
+    name = "".join(
+        c if c.isalnum() or c in "-_." else "-"
+        for c in str(getattr(nonlinearity, "name", ""))
+    ).strip("-.")
+    return f"{name or 'nonlinearity'}-n{int(n)}"
+
+
+def precharacterize(
+    nonlinearity: Nonlinearity,
+    amplitudes: np.ndarray,
+    v_is,
+    n: int,
+    n_samples: int = DEFAULT_SAMPLES,
+    *,
+    phis: np.ndarray | None = None,
+) -> list:
+    """The one pre-characterisation path: store lookup, one build of the misses.
+
+    Returns one record per entry of ``v_is``: its :class:`TwoToneSurface`,
+    or, given ``phis``, its dense-quadrature ``I_1`` grid over
+    ``(amplitudes x phis)`` — the fallback for laws whose psi-spectrum
+    does not converge.  Records come from
+    :func:`~repro.perf.sharded_cache.default_store` (the sweep's own store
+    during a sweep); every missing one is built in a single call under
+    single-flight locks and stored.  :meth:`TwoToneDF.surface` asks for
+    one ``V_i`` and the sweep engine for a group's whole grid, so a scalar
+    prediction is a sweep of one.
+    """
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    v_is = [float(v) for v in v_is]
+    if phis is None:
+        key_of = {
+            v_i: surface_disk_key(nonlinearity, amplitudes, v_i, n, n_samples)
+            for v_i in v_is
+        }
+
+        def build(missing):
+            metrics.inc("sweep.surface_builds", len(missing))
+            with timed("surface-build"):
+                surfaces = two_tone_surfaces_stacked(
+                    nonlinearity, amplitudes, missing, n, n_samples
+                )
+            return [surface.to_arrays() for surface in surfaces]
+
+        def decode(arrays, meta):
+            return TwoToneSurface.from_arrays(arrays, meta)
+
+    else:
+        phis = np.asarray(phis, dtype=float)
+        a_max = float(np.max(np.abs(amplitudes)))
+        key_of = {
+            v_i: combine_keys(
+                "two-tone-dense-grid",
+                nonlinearity_fingerprint(nonlinearity, max(a_max + 2.0 * v_i, 1e-12)),
+                v_i,
+                n,
+                n_samples,
+                amplitudes,
+                phis,
+            )
+            for v_i in v_is
+        }
+
+        def build(missing):
+            with timed("dense-grid-build"):
+                return [
+                    (
+                        {
+                            "i1": _mirror_aware_dense_grid(
+                                TwoToneDF(nonlinearity, v_i, n, n_samples).i1,
+                                amplitudes,
+                                phis,
+                            ),
+                            "amplitudes": amplitudes,
+                            "phis": phis,
+                        },
+                        {},
+                    )
+                    for v_i in missing
+                ]
+
+        def decode(arrays, meta):
+            return np.asarray(arrays["i1"], dtype=complex)
+
+    name = getattr(nonlinearity, "name", "?")
+
+    def build_many(missing):
+        missing = sorted(missing)
+        return {
+            key_of[v_i]: (arrays, {**meta, "nonlinearity": name})
+            for v_i, (arrays, meta) in zip(missing, build(missing))
+        }
+
+    records = default_store().get_or_build_many(
+        _shard_of(nonlinearity, n),
+        {key: v_i for v_i, key in key_of.items()},
+        build_many,
+    )
+    return [decode(*records[key_of[v_i]]) for v_i in v_is]
+
+
+def _mirror_aware_dense_grid(i1, amplitudes: np.ndarray, phis: np.ndarray):
+    """Dense ``I_1`` grid exploiting ``I_1(A, -phi) = conj(I_1(A, phi))``.
+
+    ``i1`` is the exact quadrature (:meth:`TwoToneDF.i1`).  The identity is
+    exact for real nonlinearities even at finite ``n_samples`` (substitute
+    ``theta -> -theta`` in the quadrature sum; the uniform theta grid maps
+    onto itself).  Whenever the phi grid is mirror-symmetric modulo
+    ``2 pi`` — true for the standard half-cell-offset lock-range grid —
+    only half the columns need the quadrature; the rest are conjugate
+    copies.
+    """
+    two_pi = 2.0 * np.pi
+    phi_mod = np.mod(phis, two_pi)
+    mirror = np.mod(-phi_mod, two_pi)
+    order = np.argsort(phi_mod)
+    pos = np.searchsorted(phi_mod[order], mirror)
+    pos = np.clip(pos, 0, phis.size - 1)
+    # Candidate partner (nearest sorted neighbour, circular tolerance).
+    partner = np.full(phis.size, -1)
+    for cand in (pos, np.maximum(pos - 1, 0)):
+        idx = order[cand]
+        delta = np.abs(phi_mod[idx] - mirror)
+        match = np.minimum(delta, two_pi - delta) < 1e-9
+        partner = np.where((partner < 0) & match, idx, partner)
+    if np.any(partner < 0):
+        return i1(amplitudes[:, None], phis[None, :])
+    computed = np.arange(phis.size) <= partner
+    # Duplicate phi values (e.g. the duplicated period endpoint) can
+    # break the pairing involution; promote any column whose partner
+    # is not itself computed.
+    computed |= ~computed & ~computed[partner]
+    compute = np.nonzero(computed)[0]
+    half = i1(amplitudes[:, None], phis[None, compute])
+    grid = np.empty((amplitudes.size, phis.size), dtype=complex)
+    grid[:, compute] = half
+    remaining = np.nonzero(~computed)[0]
+    grid[:, remaining] = np.conj(grid[:, partner[remaining]])
+    return grid
 
 
 @dataclass
@@ -776,8 +755,6 @@ class TwoToneDF:
         referee and ablation baseline.  Pointwise methods (:meth:`i1` and
         friends) always use the exact dense quadrature regardless, so the
         Newton polish in :mod:`repro.core.shil` stays quadrature-exact.
-    use_disk_cache:
-        Opt out of the persistent cache (in-memory caching remains).
     """
 
     nonlinearity: Nonlinearity
@@ -785,7 +762,6 @@ class TwoToneDF:
     n: int
     n_samples: int = DEFAULT_SAMPLES
     method: str = "fft"
-    use_disk_cache: bool = True
     _grid_cache: dict = field(default_factory=dict, repr=False)
     _surface_memo: dict = field(default_factory=dict, repr=False)
     _dense_grid_memo: dict = field(default_factory=dict, repr=False)
@@ -895,16 +871,12 @@ class TwoToneDF:
 
     # -- grid pre-characterisation --------------------------------------------
 
-    def _fingerprint(self, a_max: float) -> str:
-        """Content hash of the nonlinearity over the analysis window."""
-        v_max = float(a_max) + 2.0 * self.v_i
-        return nonlinearity_fingerprint(self.nonlinearity, max(v_max, 1e-12))
-
     def surface(self, amplitudes: np.ndarray) -> TwoToneSurface:
         """The FFT-factorised surface for an amplitude grid (cached).
 
-        Lookup order: per-instance memo -> on-disk content-addressed cache
-        -> fresh build (which is then persisted).  The disk key hashes the
+        Lookup order: per-instance memo -> the surface store (in-process
+        LRU, then disk) -> fresh build, which is then stored — all but the
+        memo through :func:`precharacterize`.  The store key hashes the
         *sampled content* of the nonlinearity, so editing a tabulated
         curve — or passing a differently spaced grid with the same
         endpoints — can never return a stale record.
@@ -912,33 +884,11 @@ class TwoToneDF:
         amplitudes = np.asarray(amplitudes, dtype=float)
         memo_key = array_hash(amplitudes)
         surface = self._surface_memo.get(memo_key)
-        if surface is not None:
-            return surface
-        cache = default_cache() if self.use_disk_cache else None
-        disk_key = None
-        if cache is not None:
-            disk_key = surface_disk_key(
-                self.nonlinearity, amplitudes, self.v_i, self.n, self.n_samples
+        if surface is None:
+            (surface,) = precharacterize(
+                self.nonlinearity, amplitudes, [self.v_i], self.n, self.n_samples
             )
-            with timed("surface-cache-lookup"):
-                record = cache.get(disk_key)
-            if record is not None:
-                surface = TwoToneSurface.from_arrays(*record)
-                self._surface_memo[memo_key] = surface
-                return surface
-        with timed("surface-build"):
-            surface = two_tone_surface(
-                self.nonlinearity,
-                amplitudes,
-                self.v_i,
-                self.n,
-                self.n_samples,
-            )
-        if cache is not None:
-            arrays, meta = surface.to_arrays()
-            meta["nonlinearity"] = getattr(self.nonlinearity, "name", "?")
-            cache.put(disk_key, arrays, meta)
-        self._surface_memo[memo_key] = surface
+            self._surface_memo[memo_key] = surface
         return surface
 
     def adopt_surface(
@@ -977,88 +927,24 @@ class TwoToneDF:
         )
         self._surface_memo[array_hash(grid)] = surface
 
-    def _mirror_aware_dense_grid(
-        self, amplitudes: np.ndarray, phis: np.ndarray
-    ) -> np.ndarray:
-        """Dense ``I_1`` grid exploiting ``I_1(A, -phi) = conj(I_1(A, phi))``.
+    def _dense_i1_grid(self, amplitudes: np.ndarray, phis: np.ndarray) -> np.ndarray:
+        """Dense-quadrature ``I_1`` on the full grid, through the store.
 
-        The identity is exact for real nonlinearities even at finite
-        ``n_samples`` (substitute ``theta -> -theta`` in the quadrature
-        sum; the uniform theta grid maps onto itself).  Whenever the phi
-        grid is mirror-symmetric modulo ``2 pi`` — true for the standard
-        half-cell-offset lock-range grid — only half the columns need the
-        quadrature; the rest are conjugate copies.
-        """
-        two_pi = 2.0 * np.pi
-        phi_mod = np.mod(phis, two_pi)
-        mirror = np.mod(-phi_mod, two_pi)
-        order = np.argsort(phi_mod)
-        pos = np.searchsorted(phi_mod[order], mirror)
-        pos = np.clip(pos, 0, phis.size - 1)
-        # Candidate partner (nearest sorted neighbour, circular tolerance).
-        partner = np.full(phis.size, -1)
-        for cand in (pos, np.maximum(pos - 1, 0)):
-            idx = order[cand]
-            delta = np.abs(phi_mod[idx] - mirror)
-            match = np.minimum(delta, two_pi - delta) < 1e-9
-            partner = np.where((partner < 0) & match, idx, partner)
-        if np.any(partner < 0):
-            return self.i1(amplitudes[:, None], phis[None, :])
-        computed = np.arange(phis.size) <= partner
-        # Duplicate phi values (e.g. the duplicated period endpoint) can
-        # break the pairing involution; promote any column whose partner
-        # is not itself computed.
-        computed |= ~computed & ~computed[partner]
-        compute = np.nonzero(computed)[0]
-        half = self.i1(amplitudes[:, None], phis[None, compute])
-        i1 = np.empty((amplitudes.size, phis.size), dtype=complex)
-        i1[:, compute] = half
-        remaining = np.nonzero(~computed)[0]
-        i1[:, remaining] = np.conj(i1[:, partner[remaining]])
-        return i1
-
-    def _dense_i1_grid(
-        self, amplitudes: np.ndarray, phis: np.ndarray, *, persist: bool
-    ) -> np.ndarray:
-        """Dense-quadrature ``I_1`` on the full grid, optionally disk-cached.
-
-        This is both the referee path (``persist=False`` keeps the ablation
-        baseline honest — it never reads or writes the cache) and the
-        automatic fallback of the fft path for laws whose psi-spectrum does
-        not converge (``persist=True``: the grid is content-addressed like
-        any surface, so warm re-runs skip the quadrature entirely).
+        The automatic fallback of the fft path for laws whose psi-spectrum
+        does not converge: the grid is content-addressed like any surface
+        (:func:`precharacterize`), so warm re-runs skip the quadrature.
         """
         memo_key = (array_hash(amplitudes), array_hash(phis))
-        if persist and memo_key in self._dense_grid_memo:
-            return self._dense_grid_memo[memo_key]
-        cache = default_cache() if (persist and self.use_disk_cache) else None
-        disk_key = None
-        if cache is not None:
-            disk_key = combine_keys(
-                "two-tone-dense-grid",
-                self._fingerprint(float(np.max(np.abs(amplitudes)))),
-                self.v_i,
+        i1 = self._dense_grid_memo.get(memo_key)
+        if i1 is None:
+            (i1,) = precharacterize(
+                self.nonlinearity,
+                amplitudes,
+                [self.v_i],
                 self.n,
                 self.n_samples,
-                amplitudes,
-                phis,
+                phis=phis,
             )
-            with timed("surface-cache-lookup"):
-                record = cache.get(disk_key)
-            if record is not None:
-                i1 = np.asarray(record[0]["i1"], dtype=complex)
-                if persist:
-                    self._dense_grid_memo[memo_key] = i1
-                return i1
-        with timed("dense-grid-build"):
-            i1 = self._mirror_aware_dense_grid(amplitudes, phis)
-        if cache is not None:
-            cache.put(
-                disk_key,
-                {"i1": i1, "amplitudes": amplitudes, "phis": phis},
-                {"nonlinearity": getattr(self.nonlinearity, "name", "?")},
-            )
-        if persist:
             self._dense_grid_memo[memo_key] = i1
         return i1
 
@@ -1104,7 +990,7 @@ class TwoToneDF:
                 else:
                     # Non-smooth law (stalled psi-spectrum): fall back to the
                     # dense quadrature, but keep the persistence benefits.
-                    i1 = self._dense_i1_grid(amplitudes, phis, persist=True)
+                    i1 = self._dense_i1_grid(amplitudes, phis)
             else:
                 i1 = two_tone_fundamental(
                     self.nonlinearity,
@@ -1162,7 +1048,7 @@ class TwoToneDF:
 
         from scipy.interpolate import RectBivariateSpline
 
-        i1 = self._dense_i1_grid(amplitudes, phis, persist=True)
+        i1 = self._dense_i1_grid(amplitudes, phis)
         spline_re = RectBivariateSpline(amplitudes, phis, np.real(i1))
         spline_im = RectBivariateSpline(amplitudes, phis, np.imag(i1))
 

@@ -33,15 +33,12 @@ from repro.odesim.oscillator import (
     SimulationResult,
     simulate_oscillator,
 )
-from repro.odesim.rk import rk4_batched, rk45_adaptive
 
 __all__ = [
     "InjectionSpec",
     "PulseSpec",
     "SimulationResult",
     "simulate_oscillator",
-    "rk4_batched",
-    "rk45_adaptive",
     "ENGINES",
     "default_engine",
     "set_default_engine",

@@ -1,4 +1,4 @@
-"""Performance subsystem: pre-characterisation caching and phase timing.
+"""Performance subsystem: the surface store and phase timing.
 
 The paper's pitch is that describing-function surfaces are "pre-characterised
 computationally, at minimal cost, for any given nonlinearity" — which only
@@ -7,11 +7,15 @@ package supplies the plumbing that makes that true across processes:
 
 * :mod:`repro.perf.fingerprint` — content-addressed identity for
   nonlinearities (a hash of the sampled I/V content, not of the Python
-  object), plus stable hashes for grid arrays;
-* :mod:`repro.perf.surface_cache` — an on-disk ``.npz`` store for
-  :class:`~repro.core.two_tone.TwoToneSurface` records, keyed by the
-  fingerprint/grid hashes, so repeated ``characterize()`` / isoline /
-  lock-range calls warm-start across processes and CLI runs;
+  object), plus stable hashes for grid arrays and stored payloads;
+* :mod:`repro.perf.sharded_cache` — the one surface store
+  (:func:`default_store`): records at
+  ``<cache root>/surfaces/<shard>/<key[:2]>/<key>.npz``, at most 128 per
+  shard (oldest evicted first), an 8 MiB in-process LRU and single-flight
+  builds; ``REPRO_CACHE_DIR`` moves the root, ``REPRO_NO_CACHE=1`` turns
+  the store off;
+* :mod:`repro.perf.surface_cache` — its per-shard disk tier (atomic
+  writes, schema check, quarantine of corrupt records);
 * :mod:`repro.perf.timers` — near-zero-overhead phase timers and the
   machine-readable ``BENCH_*.json`` emitter behind the CLI ``--profile``
   flag.
@@ -23,8 +27,8 @@ from repro.perf.fingerprint import (
     nonlinearity_fingerprint,
     payload_fingerprint,
 )
-from repro.perf.sharded_cache import ShardedSurfaceCache
-from repro.perf.surface_cache import SurfaceCache, cache_disabled, default_cache
+from repro.perf.sharded_cache import ShardedSurfaceCache, default_store, using_store
+from repro.perf.surface_cache import SurfaceCache, cache_disabled
 from repro.perf.timers import (
     PhaseTimer,
     Stopwatch,
@@ -41,7 +45,8 @@ __all__ = [
     "cache_disabled",
     "SurfaceCache",
     "ShardedSurfaceCache",
-    "default_cache",
+    "default_store",
+    "using_store",
     "PhaseTimer",
     "Stopwatch",
     "profiler",

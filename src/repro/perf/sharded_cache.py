@@ -1,30 +1,32 @@
-"""Sharded surface-cache tier for the batch sweep engine.
+"""The surface store: sharded disk records, an in-process LRU, single-flight.
 
-The sweep engine groups grid points by (oscillator family, n, Q-scale)
-and characterises each group's surfaces together.  This tier gives every
-group its own shard — a :class:`~repro.perf.surface_cache.SurfaceCache`
-rooted at ``<root>/<shard>/`` — so sweep traffic neither competes with
-the process-wide default cache's LRU bound nor interleaves unrelated
-records in one directory, and adds the two things the disk tier lacks:
+Every pre-characterised record reaches its caller through one
+:class:`ShardedSurfaceCache`: the process-wide :func:`default_store`, or
+the store a sweep was handed (current for the sweep via :func:`using_store`).
+Records live at ``<root>/<shard>/<key[:2]>/<key>.npz``; the default root is
+``<cache root>/surfaces`` (cache root ``$REPRO_CACHE_DIR``, else
+``$XDG_CACHE_HOME/repro-shil``, else ``~/.cache/repro-shil``).  A shard
+only groups one nonlinearity's records at one order — keys are content
+addresses.  Each shard is a :class:`~repro.perf.surface_cache.SurfaceCache`
+(atomic writes, schema check, quarantine) bounded to
+``max_entries_per_shard`` records.  On top of the disk tier the store adds
+an **in-process LRU** over deserialised records, bounded by a byte budget,
+and **single-flight locking**: concurrent callers asking for the same
+cold record produce exactly one build.  ``REPRO_NO_CACHE=1`` turns both
+tiers off.
 
-* an **in-process LRU** over deserialised records, bounded by a byte
-  budget, so the hot surfaces of a sweep are handed back without paying
-  ``np.load`` again; and
-* **single-flight locking**, so concurrent sweep workers asking for the
-  same cold surface produce exactly one characterisation — the first
-  caller builds while the rest wait on its flight and then re-probe.
-
-Metrics: ``cache.lru_hits`` / ``cache.lru_misses`` / ``cache.lru_evictions``
-count the in-process tier, ``cache.singleflight_builds`` /
-``cache.singleflight_waits`` count stampede suppression; the underlying
-disk traffic keeps the existing ``cache.hits`` / ``cache.misses`` /
-``cache.puts`` / ``cache.corrupt`` counters (corrupt records are
-quarantined by the shard exactly as in the flat cache — a ``.corrupt``
-file never wedges a sweep, it just recomputes).
+Metrics — the only cache statistics (``repro cache --stats``,
+``--profile``, the fault harness): every lookup bumps exactly one of
+``cache.hits`` (either tier answered) or ``cache.misses``; ``cache.puts``
+and ``cache.corrupt`` count disk writes and quarantines;
+``cache.lru_evictions`` and ``cache.singleflight_{builds,waits,takeovers}``
+count the in-process machinery.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import os
 import pathlib
 import threading
@@ -33,18 +35,20 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.obs import metrics
-from repro.perf.fingerprint import payload_fingerprint
 from repro.perf.surface_cache import (
-    SCHEMA_VERSION,
+    DEFAULT_MAX_ENTRIES,
     SurfaceCache,
     _default_root,
     cache_disabled,
 )
+from repro.perf.timers import timed
 
-__all__ = ["ShardedSurfaceCache"]
+__all__ = ["ShardedSurfaceCache", "default_store", "using_store"]
 
-_DEFAULT_LRU_BYTES = 256 * 2**20  # 256 MiB of deserialised surfaces
-_DEFAULT_SHARD_ENTRIES = 128
+#: Byte budget of the in-process LRU: about 17 surfaces of the default
+#: 121-amplitude grid.  Every process holding a store (a service has one
+#: per worker) may fill it, so it is kept small; a disk hit costs ~1 ms.
+_DEFAULT_LRU_BYTES = 8 * 2**20
 #: How long a waiter trusts another caller's single-flight latch before
 #: assuming the leader died without releasing it (a killed worker thread,
 #: an interpreter-level cancellation that skipped the ``finally``) and
@@ -65,9 +69,7 @@ class ShardedSurfaceCache:
     ----------
     root:
         Directory holding the shard subdirectories; defaults to
-        ``<surface-cache root>/sweep-shards`` (same ``REPRO_CACHE_DIR`` /
-        XDG resolution as the flat cache, same ``REPRO_NO_CACHE`` kill
-        switch — the in-process LRU honours it too).
+        ``<cache root>/surfaces`` (see the module docstring).
     max_entries_per_shard:
         Disk LRU bound applied to each shard independently.
     lru_bytes:
@@ -78,14 +80,12 @@ class ShardedSurfaceCache:
         self,
         root: str | os.PathLike | None = None,
         *,
-        max_entries_per_shard: int = _DEFAULT_SHARD_ENTRIES,
+        max_entries_per_shard: int = DEFAULT_MAX_ENTRIES,
         lru_bytes: int = _DEFAULT_LRU_BYTES,
         flight_timeout_s: float = _DEFAULT_FLIGHT_TIMEOUT_S,
     ):
         self.root = (
-            pathlib.Path(root)
-            if root is not None
-            else _default_root() / "sweep-shards"
+            pathlib.Path(root) if root is not None else _default_root() / "surfaces"
         )
         if max_entries_per_shard < 1:
             raise ValueError("max_entries_per_shard must be >= 1")
@@ -145,10 +145,9 @@ class ShardedSurfaceCache:
         with self._mutex:
             entry = self._lru.get((shard, key))
             if entry is None:
-                metrics.inc("cache.lru_misses")
                 return None
             self._lru.move_to_end((shard, key))
-            metrics.inc("cache.lru_hits")
+            metrics.inc("cache.hits")
             arrays, meta, _ = entry
             return dict(arrays), dict(meta)
 
@@ -177,12 +176,7 @@ class ShardedSurfaceCache:
 
     @property
     def inflight_count(self) -> int:
-        """Single-flight latches currently held (0 when the tier is idle).
-
-        A healthy cache returns to 0 after every batch — the concurrency
-        regression tests (and the serve readiness probe) assert on this to
-        catch leaked latches.
-        """
+        """Single-flight latches currently held (0 when the tier is idle)."""
         with self._mutex:
             return len(self._flights)
 
@@ -190,30 +184,55 @@ class ShardedSurfaceCache:
 
     def get(self, shard: str, key: str):
         """Two-tier lookup: in-process LRU first, then the shard on disk."""
-        cached = self._lru_get(shard, key)
-        if cached is not None:
-            return cached
-        record = self.shard(shard).get(key)
-        if record is None:
-            return None
-        arrays, meta = record
-        self._lru_put(shard, key, arrays, meta)
-        return arrays, meta
+        with timed("surface-cache-lookup"):
+            cached = self._lru_get(shard, key)
+            if cached is not None:
+                return cached
+            record = self.shard(shard).get(key)
+            if record is None:
+                return None
+            arrays, meta = record
+            self._lru_put(shard, key, arrays, meta)
+            return arrays, meta
 
-    def put(self, shard: str, key: str, arrays: dict, meta: dict | None = None) -> None:
-        """Store through both tiers (disk write is atomic, as in the flat cache).
+    def put(self, shard: str, key: str, arrays: dict, meta: dict | None = None):
+        """Store through both tiers; returns the stamped ``(arrays, meta)``.
 
-        The in-process copy carries the same stamped meta the disk record
-        does (schema version and payload fingerprint), so both tiers hand
-        back identical ``(arrays, meta)`` records.
+        The disk write is atomic.  The in-process copy carries the same
+        stamped meta the disk record does (schema version and payload
+        fingerprint), so both tiers hand back identical records.
         """
-        self.shard(shard).put(key, arrays, meta)
-        full_meta = {
-            "schema": SCHEMA_VERSION,
-            "fingerprint": payload_fingerprint(arrays),
-            **(meta or {}),
-        }
+        full_meta = self.shard(shard).put(key, arrays, meta)
         self._lru_put(shard, key, arrays, full_meta)
+        return arrays, full_meta
+
+    # -- whole-store maintenance ---------------------------------------------
+
+    def records(self) -> list[pathlib.Path]:
+        """Every record file on disk, across all shards."""
+        return sorted(
+            path for name in self.shards() for path in self.shard(name)._records()
+        )
+
+    def __len__(self) -> int:
+        return len(self.records())
+
+    def fingerprint_coverage(self) -> dict[str, int]:
+        """:meth:`SurfaceCache.fingerprint_coverage` summed over every shard."""
+        totals = dict.fromkeys(
+            ("records", "fingerprinted", "legacy", "verified", "mismatched"), 0
+        )
+        for name in self.shards():
+            for stat, count in self.shard(name).fingerprint_coverage().items():
+                totals[stat] += count
+        return totals
+
+    def clear(self) -> int:
+        """Remove every record from both tiers; returns the disk records removed."""
+        with self._mutex:
+            self._lru.clear()
+            self._lru_total = 0
+        return sum(self.shard(name).clear() for name in self.shards())
 
     # -- single-flight --------------------------------------------------------
 
@@ -258,46 +277,8 @@ class ShardedSurfaceCache:
         # full timeouts.
         event.set()
 
-    def get_or_build(self, shard: str, key: str, builder):
-        """Fetch a record, building it at most once across threads.
-
-        ``builder()`` must return ``(arrays, meta)``; the leader stores the
-        result through both tiers before releasing its flight, so waiters
-        find it with a plain :meth:`get`.  If the leader's build raises,
-        the flight is released and a waiter takes over the build — a
-        failed build never wedges the key.
-        """
-        while True:
-            record = self.get(shard, key)
-            if record is not None:
-                return record
-            event = self._acquire_flight(shard, key)
-            if event is not None:
-                self._await_flight(shard, key, event)
-                continue  # re-probe: leader stored it (or failed; we lead next)
-            try:
-                record = self.get(shard, key)  # lost race: stored before our flight
-                if record is None:
-                    metrics.inc("cache.singleflight_builds")
-                    arrays, meta = builder()
-                    self.put(shard, key, arrays, meta)
-                    # Prefer the canonical stored form; fall back to the
-                    # equivalent in-memory stamp when caching is disabled.
-                    stored = self.get(shard, key)
-                    record = stored if stored is not None else (
-                        arrays,
-                        {
-                            "schema": SCHEMA_VERSION,
-                            "fingerprint": payload_fingerprint(arrays),
-                            **(meta or {}),
-                        },
-                    )
-                return record
-            finally:
-                self._release_flight(shard, key)
-
     def get_or_build_many(self, shard: str, items: dict[str, object], builder_many):
-        """Batched :meth:`get_or_build` — one stacked build for all misses.
+        """Fetch records, building each missing one at most once across threads.
 
         Parameters
         ----------
@@ -314,14 +295,18 @@ class ShardedSurfaceCache:
         Returns
         -------
         dict
-            ``{key: (arrays, meta)}`` for every requested key.
+            ``{key: (arrays, meta)}`` for every requested key, ``meta``
+            stamped as stored.
 
         Flights for the missing keys are acquired in sorted-key order (a
         deterministic order cannot deadlock against another batch doing
-        the same), each key is re-probed once its flight is held, and the
-        still-missing remainder is built in ONE ``builder_many`` call —
-        this is what lets a sweep characterise a whole injection grid in
-        one stacked FFT pass even with concurrent workers.
+        the same); a key whose flight had to be waited for is re-probed,
+        since its leader has usually stored it by then.  The remainder is
+        built in ONE ``builder_many`` call — this is what lets a sweep
+        characterise a whole injection grid in one stacked FFT pass even
+        with concurrent workers.  If that call raises, every flight is
+        released and the next caller builds: a failed build never wedges
+        a key.
         """
         results: dict[str, tuple[dict, dict]] = {}
         missing: list[str] = []
@@ -337,46 +322,76 @@ class ShardedSurfaceCache:
         held: list[str] = []
         try:
             for key in sorted(missing):
-                while True:
-                    event = self._acquire_flight(shard, key)
-                    if event is None:
-                        held.append(key)
-                        break
+                waited = False
+                while (event := self._acquire_flight(shard, key)) is not None:
                     self._await_flight(shard, key, event)
-                # Another flight may have stored it while we waited.
-                record = self.get(shard, key)
+                    waited = True
+                held.append(key)
+                record = self.get(shard, key) if waited else None
                 if record is not None:
                     results[key] = record
-                    self._release_flight(shard, key)
                     held.remove(key)
+                    self._release_flight(shard, key)
             to_build = [key for key in missing if key in held]
             if to_build:
                 metrics.inc("cache.singleflight_builds", len(to_build))
                 built = builder_many([items[key] for key in to_build])
-                unexpected = set(built) - set(to_build)
-                if unexpected:
+                if set(built) != set(to_build):
                     raise ValueError(
-                        f"builder_many returned unrequested keys: {sorted(unexpected)}"
+                        "builder_many must return exactly the requested keys; "
+                        f"missing {sorted(set(to_build) - set(built))}, "
+                        f"unrequested {sorted(set(built) - set(to_build))}"
                     )
                 for key in to_build:
-                    if key not in built:
-                        raise ValueError(f"builder_many omitted key {key!r}")
-                    arrays, meta = built[key]
-                    self.put(shard, key, arrays, meta)
-                    stored = self.get(shard, key)
-                    results[key] = (
-                        stored
-                        if stored is not None
-                        else (
-                            arrays,
-                            {
-                                "schema": SCHEMA_VERSION,
-                                "fingerprint": payload_fingerprint(arrays),
-                                **(meta or {}),
-                            },
-                        )
-                    )
+                    results[key] = self.put(shard, key, *built[key])
         finally:
             for key in held:
                 self._release_flight(shard, key)
         return results
+
+
+_STORE: contextvars.ContextVar[ShardedSurfaceCache | None] = contextvars.ContextVar(
+    "repro_surface_store", default=None
+)
+_DEFAULT_STORE: ShardedSurfaceCache | None = None
+
+
+def default_store() -> ShardedSurfaceCache:
+    """The store surface records go through in the current context.
+
+    Inside :func:`using_store` that is the store it was given; otherwise
+    the process-wide store, re-created (with an empty LRU) whenever the
+    resolved cache root changed — tests and the cold-path benchmark point
+    ``REPRO_CACHE_DIR`` at fresh directories and must not be answered from
+    an old root's in-process tier.
+    """
+    global _DEFAULT_STORE
+    current = _STORE.get()
+    if current is not None:
+        return current
+    root = _default_root() / "surfaces"
+    if _DEFAULT_STORE is None or _DEFAULT_STORE.root != root:
+        _DEFAULT_STORE = ShardedSurfaceCache(root)
+    return _DEFAULT_STORE
+
+
+def _forget_stores() -> None:
+    # A forked child (a serve worker) starts with its own store: it must
+    # not inherit the parent's in-process records, nor a mutex another
+    # parent thread held at the fork.
+    global _DEFAULT_STORE
+    _DEFAULT_STORE = None
+    _STORE.set(None)
+
+
+os.register_at_fork(after_in_child=_forget_stores)
+
+
+@contextlib.contextmanager
+def using_store(store: ShardedSurfaceCache):
+    """Make ``store`` what :func:`default_store` returns inside the block."""
+    token = _STORE.set(store)
+    try:
+        yield store
+    finally:
+        _STORE.reset(token)

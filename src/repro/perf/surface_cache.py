@@ -1,33 +1,29 @@
-"""Persistent on-disk store for pre-characterised describing-function surfaces.
+"""The on-disk tier of one shard of the surface store.
+
+:class:`~repro.perf.sharded_cache.ShardedSurfaceCache` is the one store
+every caller sees; it keeps one :class:`SurfaceCache` per shard directory.
+This module is that per-shard disk tier and nothing else.
 
 Layout
 ------
-One ``.npz`` file per record under the cache root::
+One ``.npz`` file per record under the shard directory::
 
-    <root>/<key[:2]>/<key>.npz
+    <shard dir>/<key[:2]>/<key>.npz
 
-where ``key`` is the sha256 content address built from the nonlinearity
-fingerprint, the grid hashes and the scalar parameters (see
-:meth:`repro.core.two_tone.TwoToneDF.characterize`).  Each file holds the
-record's numpy arrays plus a ``__meta__`` JSON blob (schema version,
-human-readable provenance).  Records are independent; deleting any file —
-or the whole directory — is always safe and merely re-triggers
-pre-characterisation.
-
-Root resolution (first hit wins):
-
-1. the ``root`` constructor argument,
-2. ``$REPRO_CACHE_DIR``,
-3. ``$XDG_CACHE_HOME/repro-shil``,
-4. ``~/.cache/repro-shil``.
+where ``key`` is the sha256 content address of the record.  Each file
+holds the record's numpy arrays plus a ``__meta__`` JSON blob (schema
+version, payload fingerprint, human-readable provenance).  Records are
+independent; deleting any file — or the whole directory — is always safe
+and merely re-triggers pre-characterisation.
 
 Setting ``REPRO_NO_CACHE=1`` disables reads and writes globally (every
 lookup misses, every store is a no-op) — useful for benchmarking the cold
 path and in sandboxed CI.
 
-Eviction: the store is bounded by ``max_entries`` (default 512).  When a
-put would exceed the bound the oldest records by modification time are
-removed — access refreshes the mtime, so this is an LRU in practice.
+Eviction: a shard is bounded by ``max_entries``.  When a put would exceed
+the bound the oldest records by modification time are removed — access
+refreshes the mtime, so this is an LRU in practice.  Hits, misses, puts
+and quarantines bump the ``cache.*`` registry counters of the same name.
 """
 
 from __future__ import annotations
@@ -42,14 +38,15 @@ import numpy as np
 from repro.obs import get_logger, metrics
 from repro.perf.fingerprint import payload_fingerprint
 
-__all__ = ["SurfaceCache", "default_cache", "cache_disabled"]
+__all__ = ["SurfaceCache", "cache_disabled"]
 
 _log = get_logger(__name__)
 
 #: Bump when the on-disk record layout changes; old records then miss.
 SCHEMA_VERSION = 1
 
-_DEFAULT_MAX_ENTRIES = 512
+#: Records kept per shard before the oldest are evicted.
+DEFAULT_MAX_ENTRIES = 128
 
 
 def cache_disabled() -> bool:
@@ -58,6 +55,7 @@ def cache_disabled() -> bool:
 
 
 def _default_root() -> pathlib.Path:
+    """The cache root: ``$REPRO_CACHE_DIR``, else the XDG/home cache dir."""
     env = os.environ.get("REPRO_CACHE_DIR")
     if env:
         return pathlib.Path(env)
@@ -78,31 +76,24 @@ class SurfaceCache:
     Parameters
     ----------
     root:
-        Cache directory; resolved per the module docstring when omitted.
+        The shard directory.
     max_entries:
         LRU bound on the number of records kept on disk.
     """
 
     def __init__(
         self,
-        root: str | os.PathLike | None = None,
+        root: str | os.PathLike,
         *,
-        max_entries: int = _DEFAULT_MAX_ENTRIES,
+        max_entries: int = DEFAULT_MAX_ENTRIES,
     ):
-        self.root = pathlib.Path(root) if root is not None else _default_root()
+        self.root = pathlib.Path(root)
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = int(max_entries)
-        #: Per-instance tally of (hits, misses, puts, corrupt) — handy in
-        #: benchmarks and asserted on by the fault-injection harness.  The
-        #: canonical process-wide counts live in the metrics registry
-        #: (``cache.hits`` etc. — see :meth:`_count`) and feed
-        #: ``repro cache --stats`` and ``OBS_REPORT.json``.
-        self.stats = {"hits": 0, "misses": 0, "puts": 0, "corrupt": 0}
 
-    def _count(self, stat: str) -> None:
-        """Bump one cache statistic, instance-local and registry-wide."""
-        self.stats[stat] += 1
+    @staticmethod
+    def _count(stat: str) -> None:
         metrics.inc(f"cache.{stat}")
 
     # -- paths ----------------------------------------------------------------
@@ -130,7 +121,7 @@ class SurfaceCache:
         * **corruption** — a truncated write, bit rot, or a non-npz file
           squatting at the record path; the file is quarantined to
           ``<name>.npz.corrupt`` (preserving the evidence for inspection)
-          with a logged warning, and ``stats["corrupt"]`` is bumped.
+          with a logged warning, and ``cache.corrupt`` is bumped.
         """
         if cache_disabled():
             self._count("misses")
@@ -162,7 +153,9 @@ class SurfaceCache:
         self._count("hits")
         return arrays, meta
 
-    def put(self, key: str, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
+    def put(
+        self, key: str, arrays: dict[str, np.ndarray], meta: dict | None = None
+    ) -> dict:
         """Store a record atomically (write to a temp file, then rename).
 
         Every record is stamped with a ``fingerprint`` meta field — the
@@ -170,20 +163,20 @@ class SurfaceCache:
         arrays — so readers can verify the payload still hashes to what
         was computed (records written before the field existed simply
         lack it; ``schema`` is unchanged because old records stay
-        readable).
+        readable).  Returns the stamped meta, stored or not.
         """
-        if cache_disabled():
-            return
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = dict(arrays)
-        if "__meta__" in payload:
-            raise ValueError("'__meta__' is a reserved payload name")
         full_meta = {
             "schema": SCHEMA_VERSION,
             "fingerprint": payload_fingerprint(arrays),
             **(meta or {}),
         }
+        if cache_disabled():
+            return full_meta
+        path = self.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        payload = dict(arrays)
+        if "__meta__" in payload:
+            raise ValueError("'__meta__' is a reserved payload name")
         payload["__meta__"] = np.asarray(json.dumps(full_meta))
         fd, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=".tmp-", suffix=".npz"
@@ -200,6 +193,7 @@ class SurfaceCache:
             raise
         self._count("puts")
         self._evict()
+        return full_meta
 
     def _quarantine(self, path: pathlib.Path, cause: Exception) -> None:
         """Move an unreadable record aside as ``<name>.corrupt``.
@@ -299,19 +293,3 @@ class SurfaceCache:
             record.unlink(missing_ok=True)
         return len(records)
 
-
-_DEFAULT_CACHE: SurfaceCache | None = None
-
-
-def default_cache() -> SurfaceCache:
-    """The process-wide cache instance (created lazily).
-
-    A fresh instance is returned whenever the resolved root changed —
-    tests flip ``REPRO_CACHE_DIR`` to point at temporary directories and
-    must not keep writing into a stale root.
-    """
-    global _DEFAULT_CACHE
-    root = _default_root()
-    if _DEFAULT_CACHE is None or _DEFAULT_CACHE.root != root:
-        _DEFAULT_CACHE = SurfaceCache(root)
-    return _DEFAULT_CACHE

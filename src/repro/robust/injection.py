@@ -290,15 +290,16 @@ def _run_nonfinite_nonlinearity(scenario: FaultScenario) -> FaultOutcome:
 def _run_corrupt_surface_cache(scenario: FaultScenario) -> FaultOutcome:
     """Truncate a warm cache record mid-file -> quarantine + recompute."""
     from repro.core.two_tone import TwoToneDF
-    from repro.perf.surface_cache import default_cache
+    from repro.obs import metrics
+    from repro.perf import ShardedSurfaceCache, default_store, using_store
 
     nonlinearity, _ = _rig()
     amplitudes = np.linspace(0.4, 1.6, 41)
+    store = default_store()
+    existing = set(store.records())
     warm = TwoToneDF(nonlinearity, 0.03, 3, n_samples=256)
-    warm.surface(amplitudes)  # populate the (isolated) disk cache
-
-    cache = default_cache()
-    records = sorted(cache.root.glob("??/*.npz"))
+    warm.surface(amplitudes)  # populate the (isolated) store
+    records = sorted(set(store.records()) - existing)
     if not records:
         return FaultOutcome(
             scenario=scenario.scenario_id,
@@ -311,12 +312,15 @@ def _run_corrupt_surface_cache(scenario: FaultScenario) -> FaultOutcome:
     payload = target.read_bytes()
     target.write_bytes(payload[: max(16, len(payload) // 3)])  # mid-record cut
 
-    before = cache.stats["corrupt"]
-    fresh = TwoToneDF(nonlinearity, 0.03, 3, n_samples=256)  # empty memo
-    surface = fresh.surface(amplitudes)
-    quarantined = list(cache.root.glob("??/*.npz.corrupt"))
+    before = metrics.counter("cache.corrupt")
+    # A new store over the same root, like a fresh process: disk tier only.
+    with using_store(ShardedSurfaceCache(store.root)):
+        fresh = TwoToneDF(nonlinearity, 0.03, 3, n_samples=256)  # empty memo
+        surface = fresh.surface(amplitudes)
+    quarantined = list(target.parent.glob("*.npz.corrupt"))
+    corrupt = metrics.counter("cache.corrupt") - before
     ok = (
-        cache.stats["corrupt"] == before + 1
+        corrupt == 1
         and len(quarantined) == 1
         and bool(np.all(np.isfinite(surface.coefficients)))
     )
@@ -327,7 +331,7 @@ def _run_corrupt_surface_cache(scenario: FaultScenario) -> FaultOutcome:
         ok=ok,
         detail=(
             f"truncated {target.name}: quarantined={len(quarantined)}, "
-            f"corrupt-count={cache.stats['corrupt'] - before}, surface recomputed"
+            f"corrupt-count={corrupt}, surface recomputed"
         ),
         fault_kinds=["cache-corruption"] if ok else [],
         recovered_via="recompute",

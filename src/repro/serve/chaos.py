@@ -13,7 +13,7 @@ production failure, and grades the declared contract:
   throttled tenant overruns its bucket; every rejection must be a typed
   429/503 with ``Retry-After``, and every *admitted* job must still
   terminate;
-* ``serve-corrupt-cache-shard`` — a warm sweep-shard record is truncated
+* ``serve-corrupt-cache-shard`` — a warm surface-store record is truncated
   on disk; the resubmitted job must quarantine and recompute, not fail;
 * ``serve-malformed-spec`` — garbage JSON, unknown kinds/fields, and an
   oversized body must all bounce as typed 400/413, never a traceback.
@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.perf import default_store
 from repro.robust.injection import FaultOutcome, FaultReport
 from repro.serve.admission import TenantPolicy
 from repro.serve.client import ServeClient, ServeUnavailableError
@@ -273,7 +274,7 @@ def _run_queue_flood(scenario: ServeScenario) -> FaultOutcome:
 
 
 def _run_corrupt_cache_shard(scenario: ServeScenario) -> FaultOutcome:
-    """Truncate a warm sweep-shard record -> quarantine + recompute."""
+    """Truncate a warm store record -> quarantine + recompute."""
     config = ServeConfig(
         workers=1, queue_limit=4, allow_chaos=True, tenants={"default": _GENEROUS}
     )
@@ -295,7 +296,7 @@ def _run_corrupt_cache_shard(scenario: ServeScenario) -> FaultOutcome:
             return _outcome(
                 scenario, False, f"warm-up tongue job failed: {status} {warm}"
             )
-        records = sorted(tmp.glob("sweep-shards/**/*.npz"))
+        records = default_store().records()
         if not records:
             return _outcome(
                 scenario, False, "warm-up left no shard record to corrupt"
@@ -304,10 +305,14 @@ def _run_corrupt_cache_shard(scenario: ServeScenario) -> FaultOutcome:
         payload = target.read_bytes()
         target.write_bytes(payload[: max(16, len(payload) // 3)])
         # A different deadline does not change the fingerprint, so resubmit
-        # with a different grid point to defeat the stale-result cache and
-        # force the worker back through the corrupted shard.
-        status, again = client.submit(dict(tongue, freq_count=4), wait=True)
-        quarantined = list(tmp.glob("sweep-shards/**/*.npz.corrupt"))
+        # with a different grid point to defeat the stale-result cache.  The
+        # worker that wrote the record still holds it in memory; killing the
+        # first attempt puts the job on a replacement worker, which — like
+        # any process meeting a corrupted record — reads it from disk.
+        status, again = client.submit(
+            dict(tongue, freq_count=4, chaos={"die_attempts": [1]}), wait=True
+        )
+        quarantined = list(target.parent.glob("*.npz.corrupt"))
         problems = _recovery_problems(host, client)
         ok = (
             status == 200
@@ -320,7 +325,8 @@ def _run_corrupt_cache_shard(scenario: ServeScenario) -> FaultOutcome:
             scenario,
             ok,
             f"truncated {target.name}: resubmitted job "
-            f"{again.get('status')}, quarantined={len(quarantined)}"
+            f"{again.get('status')} on a replacement worker, "
+            f"quarantined={len(quarantined)}"
             + ("; " + "; ".join(problems) if problems else ""),
             fault_kinds=["cache-corruption"] if ok else [],
             recovered_via="recompute",
@@ -412,7 +418,7 @@ def serve_scenarios() -> list[ServeScenario]:
         ),
         ServeScenario(
             "serve-corrupt-cache-shard",
-            "warm sweep-shard record truncated mid-file",
+            "warm surface-store record truncated mid-file",
             "recover",
             "cache-corruption",
             _run_corrupt_cache_shard,

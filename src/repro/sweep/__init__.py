@@ -12,8 +12,9 @@ batch axis first-class:
   ``(family, n, q_scale)`` so each group shares one natural-oscillation
   solve and one stacked FFT pre-characterisation
   (:class:`SweepPlan` / :class:`SweepGroup`);
-* :mod:`repro.sweep.engine` — the batched evaluator: per-group sharded
-  surface caching (:class:`~repro.perf.sharded_cache.ShardedSurfaceCache`),
+* :mod:`repro.sweep.engine` — the batched evaluator: per-group
+  pre-characterisation through the one surface store
+  (:class:`~repro.perf.sharded_cache.ShardedSurfaceCache`),
   per-``V_i`` lock-range solves that are **bitwise identical** to the
   scalar :func:`~repro.core.lockrange.predict_lock_range` path, per-point
   fault masking through the PR 3 escalation ladder, and ``sweep.*``

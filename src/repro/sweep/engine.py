@@ -4,10 +4,11 @@ Execution model (one pass per :class:`~repro.sweep.plan.SweepGroup`):
 
 1. materialise the oscillator once and solve its natural oscillation —
    every member point shares the amplitude window;
-2. pre-characterise the group's whole ``V_i`` grid in **one** stacked FFT
-   pass (:func:`~repro.core.two_tone.two_tone_surfaces_stacked`), routed
-   through the sharded cache tier so concurrent sweeps single-flight the
-   build and warm records are handed back without recompute;
+2. pre-characterise the group's whole ``V_i`` grid through
+   :func:`~repro.core.two_tone.precharacterize` — the path a scalar
+   prediction takes too — so warm records come back from the surface
+   store and the misses are built in **one** stacked FFT pass under
+   single-flight locks;
 3. run **one** lock-range solve per distinct ``V_i`` — the lock range
    does not depend on the injection frequency, so an entire tongue-map
    frequency row classifies by interval containment against its ``V_i``'s
@@ -19,9 +20,9 @@ Execution model (one pass per :class:`~repro.sweep.plan.SweepGroup`):
 
 Every per-``V_i`` solve goes through the *unmodified*
 :func:`~repro.core.lockrange.predict_lock_range` with the group's shared
-window and an adopted surface, which makes batched results **bitwise
-identical** to the scalar path (asserted by the equivalence tests and the
-bench's deviation gate).
+window and an adopted surface.  Since the surface comes from the same
+builder and store a scalar call uses, batched results are **bitwise
+identical** to the scalar path.
 
 :func:`run_sweep_pointwise` is the honest scalar baseline: the naive
 point loop that re-enters ``predict_lock_range`` from scratch — natural
@@ -37,14 +38,9 @@ import numpy as np
 
 from repro.core.lockrange import LockRange, NoLockError, predict_lock_range
 from repro.core.natural import predict_natural_oscillation
-from repro.core.two_tone import (
-    TwoToneDF,
-    TwoToneSurface,
-    surface_disk_key,
-    two_tone_surfaces_stacked,
-)
+from repro.core.two_tone import TwoToneDF, TwoToneSurface, precharacterize
 from repro.obs import metrics, trace
-from repro.perf.sharded_cache import ShardedSurfaceCache
+from repro.perf.sharded_cache import ShardedSurfaceCache, default_store, using_store
 from repro.robust.ladder import _recoverable_exceptions, robust_predict_lock_range
 from repro.sweep.plan import SweepGroup, build_plan
 from repro.sweep.spec import SweepPoint, SweepSpec
@@ -175,48 +171,6 @@ def _classify(point: SweepPoint, lock: LockRange | None, status: str):
     return None
 
 
-def _group_surfaces(
-    cache: ShardedSurfaceCache,
-    group: SweepGroup,
-    nonlinearity,
-    amplitudes: np.ndarray,
-    spec: SweepSpec,
-) -> dict[float, TwoToneSurface]:
-    """All the group's per-``V_i`` surfaces, stacked-building the misses.
-
-    Warm records come from the sharded cache (in-process LRU, then the
-    group's shard on disk); everything still missing is characterised in
-    one :func:`two_tone_surfaces_stacked` call under single-flight locks,
-    so concurrent sweeps of the same group build each surface exactly
-    once.
-    """
-    key_of = {
-        v_i: surface_disk_key(
-            nonlinearity, amplitudes, v_i, group.n, spec.n_samples
-        )
-        for v_i in group.v_is
-    }
-    items = {key: v_i for v_i, key in key_of.items()}
-
-    def builder_many(missing_vis):
-        missing_vis = sorted(missing_vis)
-        metrics.inc("sweep.surface_builds", len(missing_vis))
-        surfaces = two_tone_surfaces_stacked(
-            nonlinearity, amplitudes, missing_vis, group.n, spec.n_samples
-        )
-        return {
-            key_of[v_i]: surface.to_arrays()
-            for v_i, surface in zip(missing_vis, surfaces)
-        }
-
-    records = cache.get_or_build_many(group.shard, items, builder_many)
-    out: dict[float, TwoToneSurface] = {}
-    for v_i, key in key_of.items():
-        arrays, meta = records[key]
-        out[v_i] = TwoToneSurface.from_arrays(arrays, meta)
-    return out
-
-
 def run_sweep(
     spec: SweepSpec,
     *,
@@ -230,8 +184,10 @@ def run_sweep(
     spec:
         The sweep description.
     cache:
-        Sharded surface cache to amortise pre-characterisation through;
-        a default-rooted one is created when omitted.
+        The surface store every record of this sweep goes through —
+        surfaces, dense fallback grids and escalation rungs alike; the
+        process-wide :func:`~repro.perf.sharded_cache.default_store` when
+        omitted.
     progress:
         Optional callable ``(done_points, total_points)`` invoked after
         every finished point, so long sweeps can stream live progress
@@ -240,12 +196,11 @@ def run_sweep(
         channel must not fail the sweep.
     """
     plan = build_plan(spec)
-    if cache is None:
-        cache = ShardedSurfaceCache()
+    store = default_store() if cache is None else cache
     outcomes: dict[int, SweepOutcome] = {}
     started = time.perf_counter()
     surface_builds_before = metrics.counter("sweep.surface_builds")
-    with trace(
+    with using_store(store), trace(
         "sweep",
         attrs={
             "spec": spec.name,
@@ -264,7 +219,6 @@ def run_sweep(
                     "q_scale": group.q_scale,
                     "v_is": len(group.v_is),
                     "points": len(group.points),
-                    "shard": group.shard,
                 },
             ) as group_sp:
                 nonlinearity, tank = _materialise(group)
@@ -276,8 +230,17 @@ def run_sweep(
 
                 surfaces: dict[float, TwoToneSurface] = {}
                 if spec.method == "fft":
-                    surfaces = _group_surfaces(
-                        cache, group, nonlinearity, amplitudes, spec
+                    surfaces = dict(
+                        zip(
+                            group.v_is,
+                            precharacterize(
+                                nonlinearity,
+                                amplitudes,
+                                group.v_is,
+                                group.n,
+                                spec.n_samples,
+                            ),
+                        )
                     )
 
                 solves: dict[float, tuple] = {}

@@ -41,12 +41,6 @@ class SweepGroup:
     v_is: tuple[float, ...]
     points: tuple[int, ...]
 
-    @property
-    def shard(self) -> str:
-        """Cache-shard slug of this group."""
-        q = f"{self.q_scale:g}".replace(".", "p").replace("-", "m")
-        return f"{self.family}-n{self.n}-q{q}"
-
 
 @dataclass(frozen=True)
 class SweepPlan:

@@ -187,9 +187,9 @@ def _surface_fingerprint_checks() -> list[CheckResult]:
     """Output-fingerprint round-trips as a matrix-level check family.
 
     First slice of the ROADMAP's golden-surface gate: for each oscillator
-    family, build a small two-tone surface, store it in a *temporary*
-    cache (so the check is deterministic regardless of the ambient cache
-    state or ``REPRO_NO_CACHE``), read it back, and require that
+    family, pre-characterise a small two-tone surface into a *temporary*
+    store (so the check is deterministic regardless of the ambient cache
+    state or ``REPRO_NO_CACHE``), read it back from disk, and require that
 
     * the stored record carries an output ``fingerprint``, and
     * re-hashing the loaded arrays reproduces it bit for bit.
@@ -198,29 +198,32 @@ def _surface_fingerprint_checks() -> list[CheckResult]:
     bytes — exactly the drift the fingerprint exists to catch.
     """
     import os
+    import pathlib
     import tempfile
 
     import numpy as np
 
-    from repro.core.two_tone import surface_disk_key, two_tone_surface
-    from repro.perf import SurfaceCache, payload_fingerprint
+    from repro.core.two_tone import precharacterize
+    from repro.perf import ShardedSurfaceCache, payload_fingerprint, using_store
     from repro.verify.scenarios import FAMILIES
 
     checks = []
     no_cache = os.environ.pop("REPRO_NO_CACHE", None)
     try:
         with tempfile.TemporaryDirectory(prefix="repro-fp-check-") as tmp:
-            cache = SurfaceCache(tmp)
             for family in ("tanh", "skewed", "diffpair", "tunnel"):
                 name = f"surface-fingerprint/{family}"
                 try:
                     nonlinearity, _tank = FAMILIES[family]()
-                    amplitudes = np.linspace(0.1, 1.0, 31)
-                    surface = two_tone_surface(nonlinearity, amplitudes, 0.03, 3)
-                    arrays, meta = surface.to_arrays()
-                    key = surface_disk_key(nonlinearity, amplitudes, 0.03, 3)
-                    cache.put(key, arrays, meta)
-                    record = cache.get(key)
+                    root = pathlib.Path(tmp) / family
+                    with using_store(ShardedSurfaceCache(root)):
+                        precharacterize(
+                            nonlinearity, np.linspace(0.1, 1.0, 31), [0.03], 3
+                        )
+                    # A new store reads the record back from disk.
+                    store = ShardedSurfaceCache(root)
+                    (path,) = store.records()
+                    record = store.get(path.parent.parent.name, path.stem)
                     if record is None:
                         checks.append(
                             CheckResult(

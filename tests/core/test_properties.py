@@ -140,7 +140,8 @@ class TestTwoToneSpectrumProperties:
     def _df(nonlinearity, v_i, n):
         from repro.core.two_tone import TwoToneDF
 
-        return TwoToneDF(nonlinearity, v_i, n, use_disk_cache=False)
+        # Pointwise quadrature only: these DFs never touch the surface store.
+        return TwoToneDF(nonlinearity, v_i, n)
 
     @settings(max_examples=20, deadline=None)
     @given(

@@ -22,6 +22,13 @@ def _arrays(seed: int = 0, size: int = 64) -> dict:
     return {"coefficients": rng.standard_normal(size)}
 
 
+def _get_or_build(cache, shard, key, builder):
+    """One key through ``get_or_build_many``; ``builder()`` -> ``(arrays, meta)``."""
+    return cache.get_or_build_many(
+        shard, {key: None}, lambda tokens: {key: builder()}
+    )[key]
+
+
 @pytest.fixture()
 def cache(tmp_path):
     return ShardedSurfaceCache(tmp_path / "shards")
@@ -65,7 +72,7 @@ class TestSingleFlight:
         results = [None, None]
 
         def worker(slot):
-            results[slot] = cache.get_or_build("s", "a" * 64, builder)
+            results[slot] = _get_or_build(cache, "s", "a" * 64, builder)
 
         threads = [
             threading.Thread(target=worker, args=(slot,)) for slot in (0, 1)
@@ -143,13 +150,13 @@ class TestCorruption:
         assert cache.get("s", key) is None
         assert path.with_suffix(path.suffix + ".corrupt").exists()
 
-        # get_or_build recovers by rebuilding — the sweep never wedges.
+        # A lookup through get_or_build_many rebuilds — the sweep never wedges.
         rebuilt = []
 
         def builder():
             rebuilt.append(True)
             return _arrays(7), {"v_i": 0.03}
 
-        arrays, meta = cache.get_or_build("s", key, builder)
+        arrays, meta = _get_or_build(cache, "s", key, builder)
         assert rebuilt == [True]
         assert meta["fingerprint"] == payload_fingerprint(arrays)

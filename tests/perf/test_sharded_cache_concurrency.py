@@ -24,6 +24,13 @@ def _arrays(seed: int = 0, size: int = 32) -> dict:
     return {"coefficients": rng.standard_normal(size)}
 
 
+def _get_or_build(cache, shard, key, builder):
+    """One key through ``get_or_build_many``; ``builder()`` -> ``(arrays, meta)``."""
+    return cache.get_or_build_many(
+        shard, {key: None}, lambda tokens: {key: builder()}
+    )[key]
+
+
 def _keys(n: int) -> list[str]:
     return [f"{i:02x}" + "f" * 62 for i in range(n)]
 
@@ -174,8 +181,8 @@ class TestLeakedLatchTakeover:
         takeovers_before = metrics.counter("cache.singleflight_takeovers")
 
         t0 = time.monotonic()
-        record = cache.get_or_build(
-            "s", key, lambda: (_arrays(3), {"rebuilt": True})
+        record = _get_or_build(
+            cache, "s", key, lambda: (_arrays(3), {"rebuilt": True})
         )
         elapsed = time.monotonic() - t0
         assert record is not None
@@ -193,8 +200,8 @@ class TestLeakedLatchTakeover:
 
         def waiter():
             results.append(
-                cache.get_or_build(
-                    "s", key, lambda: (_arrays(5), {"by": "waiter"})
+                _get_or_build(
+                    cache, "s", key, lambda: (_arrays(5), {"by": "waiter"})
                 )
             )
 
@@ -226,14 +233,14 @@ class TestLeakedLatchTakeover:
             return _arrays(9), {}
 
         leader = threading.Thread(
-            target=lambda: cache.get_or_build("s", key, slow_build)
+            target=lambda: _get_or_build(cache, "s", key, slow_build)
         )
         leader.start()
         assert in_build.wait(5.0)
         waiter_result = []
         waiter = threading.Thread(
             target=lambda: waiter_result.append(
-                cache.get_or_build("s", key, slow_build)
+                _get_or_build(cache, "s", key, slow_build)
             )
         )
         waiter.start()

@@ -1,4 +1,5 @@
-"""The on-disk surface cache: round-trips, invalidation, hygiene."""
+"""The store's per-shard disk tier and the default store: round-trips,
+invalidation, hygiene."""
 
 import json
 
@@ -7,11 +8,12 @@ import pytest
 
 from repro.core.two_tone import TwoToneDF
 from repro.nonlin import NegativeTanh
+from repro.obs import metrics
 from repro.perf import (
     SurfaceCache,
     array_hash,
     combine_keys,
-    default_cache,
+    default_store,
     nonlinearity_fingerprint,
 )
 
@@ -22,6 +24,16 @@ KEY_B = "cd" * 32
 @pytest.fixture
 def cache(tmp_path):
     return SurfaceCache(tmp_path / "cache")
+
+
+@pytest.fixture
+def counted():
+    """``counted(stat)``: growth of the ``cache.<stat>`` counter in this test."""
+    before = {
+        stat: metrics.counter(f"cache.{stat}")
+        for stat in ("hits", "misses", "puts", "corrupt")
+    }
+    return lambda stat: metrics.counter(f"cache.{stat}") - before[stat]
 
 
 class TestRecordIO:
@@ -39,11 +51,11 @@ class TestRecordIO:
         assert loaded_meta["n"] == 3
         assert loaded_meta["schema"] == 1
 
-    def test_miss_returns_none(self, cache):
+    def test_miss_returns_none(self, cache, counted):
         assert cache.get(KEY_A) is None
-        assert cache.stats["misses"] == 1
+        assert counted("misses") == 1
 
-    def test_corrupt_record_is_a_miss_and_quarantined(self, cache, caplog):
+    def test_corrupt_record_is_a_miss_and_quarantined(self, cache, caplog, counted):
         cache.put(KEY_A, {"x": np.arange(4.0)})
         path = cache.path_for(KEY_A)
         path.write_bytes(b"not an npz file")
@@ -53,10 +65,10 @@ class TestRecordIO:
         assert not path.exists()
         quarantined = path.with_name(path.name + ".corrupt")
         assert quarantined.exists()
-        assert cache.stats["corrupt"] == 1
+        assert counted("corrupt") == 1
         assert any("quarantined" in r.message for r in caplog.records)
 
-    def test_truncated_record_is_a_miss_and_quarantined(self, cache):
+    def test_truncated_record_is_a_miss_and_quarantined(self, cache, counted):
         cache.put(KEY_A, {"x": np.arange(64.0), "y": np.ones((8, 8))})
         path = cache.path_for(KEY_A)
         blob = path.read_bytes()
@@ -64,7 +76,7 @@ class TestRecordIO:
         assert cache.get(KEY_A) is None
         assert not path.exists()
         assert path.with_name(path.name + ".corrupt").exists()
-        assert cache.stats["corrupt"] == 1
+        assert counted("corrupt") == 1
         # The slot is reusable: a recompute landing on the same key works.
         cache.put(KEY_A, {"x": np.arange(64.0), "y": np.ones((8, 8))})
         loaded, _ = cache.get(KEY_A)
@@ -76,12 +88,12 @@ class TestRecordIO:
         assert cache.get(KEY_A) is None
         assert len(cache) == 0  # *.npz.corrupt is not a live record
 
-    def test_schema_mismatch_is_a_miss(self, cache, monkeypatch):
+    def test_schema_mismatch_is_a_miss(self, cache, monkeypatch, counted):
         cache.put(KEY_A, {"x": np.arange(4.0)})
         monkeypatch.setattr("repro.perf.surface_cache.SCHEMA_VERSION", 2)
         assert cache.get(KEY_A) is None
         # A stale-but-wellformed record is deleted silently, not quarantined.
-        assert cache.stats["corrupt"] == 0
+        assert counted("corrupt") == 0
 
     def test_invalid_keys_rejected(self, cache):
         for bad in ("", "XYZ", "../escape", "ab/cd"):
@@ -124,12 +136,38 @@ class TestDisableSwitch:
 class TestDefaultCacheResolution:
     def test_follows_env_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "a"))
-        first = default_cache()
-        assert first.root == tmp_path / "a"
+        first = default_store()
+        assert first.root == tmp_path / "a" / "surfaces"
+        assert default_store() is first
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "b"))
-        second = default_cache()
-        assert second.root == tmp_path / "b"
+        second = default_store()
+        assert second.root == tmp_path / "b" / "surfaces"
         assert second is not first
+
+    def test_root_switch_forgets_in_process_records(self, tmp_path, monkeypatch):
+        """Switching the root must make the same prediction cold again."""
+        from repro.core.lockrange import predict_lock_range
+        from repro.tank import ParallelRLC
+
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        nonlinearity = NegativeTanh(gm=2.5e-3, i_sat=1e-3)
+        tank = ParallelRLC(r=1000.0, l=100e-6, c=10e-9)
+        kwargs = dict(v_i=0.03, n=3, n_a=41, n_phi=81, n_samples=256)
+
+        def rebuilds():
+            builds = metrics.counter("sweep.surface_builds")
+            misses = metrics.counter("cache.misses")
+            predict_lock_range(nonlinearity, tank, **kwargs)
+            return (
+                metrics.counter("sweep.surface_builds") - builds,
+                metrics.counter("cache.misses") - misses,
+            )
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "a"))
+        assert rebuilds() == (1, 1)
+        assert rebuilds() == (0, 0)  # warm: answered by the store
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "b"))
+        assert rebuilds() == (1, 1)
 
 
 class TestFingerprint:
@@ -169,30 +207,29 @@ class TestSurfaceCacheIntegration:
     def _df(self, gm=2.5e-3):
         return TwoToneDF(NegativeTanh(gm=gm, i_sat=1e-3), 0.03, 3, n_samples=512)
 
-    def test_cross_instance_warm_start(self, tmp_path, monkeypatch):
+    def test_cross_instance_warm_start(self, tmp_path, monkeypatch, counted):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         cold = self._df().surface(self.AMPS)
-        cache = default_cache()
-        assert len(cache) == 1
-        before_hits = cache.stats["hits"]
+        store = default_store()
+        assert len(store) == 1
+        before_hits = counted("hits")
         warm = self._df().surface(self.AMPS)
-        assert cache.stats["hits"] == before_hits + 1
+        assert counted("hits") == before_hits + 1
         assert np.array_equal(warm.coefficients, cold.coefficients)
 
     def test_fingerprint_change_invalidates(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         self._df(gm=2.5e-3).surface(self.AMPS)
-        cache = default_cache()
-        assert len(cache) == 1
+        store = default_store()
+        assert len(store) == 1
         self._df(gm=2.6e-3).surface(self.AMPS)
         # A different law must land in a different record, not reuse the old.
-        assert len(cache) == 2
+        assert len(store) == 2
 
     def test_record_is_inspectable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         self._df().surface(self.AMPS)
-        cache = default_cache()
-        record = next(iter(cache._records()))
+        record = default_store().records()[0]
         with np.load(record, allow_pickle=False) as data:
             meta = json.loads(str(data["__meta__"]))
         assert meta["schema"] == 1

@@ -133,10 +133,10 @@ class TestPlan:
             SweepPoint(family="tanh", n=3, v_i=0.02),
         )
         plan = build_plan(SweepSpec(name="mixed", points=points))
-        assert [g.shard for g in plan.groups] == [
-            "tanh-n3-q1",
-            "tanh-n3-q0p5",
-            "tunnel-n2-q1",
+        assert [(g.family, g.n, g.q_scale) for g in plan.groups] == [
+            ("tanh", 3, 1.0),
+            ("tanh", 3, 0.5),
+            ("tunnel", 2, 1.0),
         ]
         # Sorted unique v_i grid per group regardless of point order.
         assert plan.groups[0].v_is == (0.01, 0.02, 0.03)

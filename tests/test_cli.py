@@ -106,17 +106,17 @@ class TestCacheStats:
         """Pre-fingerprint records show as 'legacy', not as missing coverage."""
         import numpy as np
 
-        from repro.perf.surface_cache import SurfaceCache
+        from repro.perf import default_store
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        cache = SurfaceCache(tmp_path)
-        cache.put("ab" * 32, {"coefficients": np.arange(4.0)})
+        store = default_store()
+        store.put("tanh-n3", "ab" * 32, {"coefficients": np.arange(4.0)})
         # Strip the fingerprint from a second record: a legacy store from
         # before output fingerprints existed.
         legacy_key = "cd" * 32
-        cache.put(legacy_key, {"coefficients": np.arange(3.0)})
-        path = cache.path_for(legacy_key)
+        store.put("tanh-n3", legacy_key, {"coefficients": np.arange(3.0)})
+        path = store.shard("tanh-n3").path_for(legacy_key)
         with np.load(path, allow_pickle=False) as record:
             meta = json.loads(str(record["__meta__"]))
             arrays = {
@@ -129,3 +129,19 @@ class TestCacheStats:
         out = capsys.readouterr().out
         assert "records with output fingerprint: 1/1" in out
         assert "legacy pre-fingerprint 1" in out
+
+    def test_stats_and_clear_cover_sweep_records(self, capsys, tmp_path, monkeypatch):
+        """A tongue sweep's records live in the one store --stats and --clear see."""
+        from repro.sweep import SweepSpec, run_sweep
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        spec = SweepSpec.tongue(
+            "tanh", 3, [0.02, 0.03], freq_count=3, n_a=41, n_phi=81, n_samples=256
+        )
+        run_sweep(spec)
+        assert main(["cache", "--stats"]) == 0
+        assert "records on disk: 2 " in capsys.readouterr().out
+        assert main(["cache", "--clear"]) == 0
+        assert "2 record(s) removed" in capsys.readouterr().out
+        assert not list(tmp_path.rglob("*.npz"))
