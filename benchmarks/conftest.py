@@ -13,6 +13,7 @@ distribution.
 
 from __future__ import annotations
 
+import math
 import pathlib
 
 import pytest
@@ -38,3 +39,18 @@ def save_report(results_dir):
         return result
 
     return _save
+
+
+@pytest.fixture
+def check_records():
+    """Assert every numeric field of every per-group record is finite and
+    non-negative (a NaN timing or a negative deviation is a broken run)."""
+
+    def _check(records: dict) -> None:
+        assert records
+        for name, record in records.items():
+            for field, value in record.items():
+                if isinstance(value, (int, float)) and not isinstance(value, bool):
+                    assert math.isfinite(value) and value >= 0.0, (name, field, value)
+
+    return _check

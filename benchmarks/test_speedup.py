@@ -1,16 +1,11 @@
 """SPEED bench: the paper's 25x/50x prediction-vs-simulation speedup claim,
 plus the FFT-factorised fast path vs the dense-quadrature referee
-(BENCH_SPEED.json)."""
-
-import pathlib
+(report in results/SPEED.txt)."""
 
 from repro.experiments.extras import run_speedup
-from repro.perf import write_bench_json
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_speedup(benchmark, save_report):
+def test_speedup(benchmark, save_report, check_records):
     result = benchmark.pedantic(run_speedup, kwargs={"quick": True}, rounds=1, iterations=1)
     save_report(result)
     # "1-2 orders of magnitude faster": anything >= 10x reproduces the
@@ -22,18 +17,9 @@ def test_speedup(benchmark, save_report):
 
     # FFT fast path vs dense referee on the three paper prediction paths.
     methods = result.data["methods"]
-    write_bench_json(
-        "SPEED",
-        {
-            "prediction_s": float(result.value("prediction time (s)")),
-            "simulation_s": float(result.value("simulation time (s)")),
-            "prediction_vs_simulation_x": float(result.value("speedup (x)")),
-            "methods": methods,
-        },
-        directory=REPO_ROOT,
-    )
+    check_records(methods)
     for fig, record in methods.items():
         assert record["speedup_x"] >= 3.0, (fig, record)
-        assert record["max_i1_deviation_A"] <= 1e-9, (fig, record)
+        assert record["max_i1_deviation_A"] <= 1e-12, (fig, record)
         assert record["t_warm_characterize_s"] < 0.1, (fig, record)
         assert record["edge_deviation_rel_width"] < 1e-4, (fig, record)

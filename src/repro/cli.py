@@ -43,21 +43,19 @@ Examples
     python -m repro locks --gm 2.5m --isat 1m --r 1k --l 100u --c 10n \\
         --vi 0.03 --n 3 --finj 477.5k
     python -m repro experiment FIG10
-    python -m repro --profile experiment FIG14   # writes BENCH_FIG14.json
+    python -m repro --trace experiment FIG14     # writes TRACE.jsonl
     python -m repro verify --quick               # the 14-scenario CI matrix
     python -m repro verify --scenario tunnel-n3-vi030m
 
-``--profile`` (before the subcommand) enables the phase timers and dumps
-a machine-readable ``BENCH_<ID>.json`` next to the working directory,
-including describing-function cache hit/miss counts.  ``locks`` and
-``lockrange`` additionally accept ``--method dense`` to force the
+``locks`` and ``lockrange`` accept ``--method dense`` to force the
 direct-quadrature referee instead of the FFT-factorised fast path.
 
-``--trace [PATH]`` (also before the subcommand) records every span the
-solve stack opens — with per-iteration Newton convergence events — into a
+``--trace [PATH]`` (before the subcommand) records every span the solve
+stack opens — with per-iteration Newton convergence events — into a
 JSON-lines trace file (default ``TRACE.jsonl``) and snapshots the metrics
-registry into ``OBS_REPORT.json``; render the trace afterwards with
-``python -m repro obs TRACE.jsonl``.  ``--log-json`` switches the
+registry, surface-cache hit/miss counters included, into
+``OBS_REPORT.json``; ``python -m repro obs TRACE.jsonl`` then renders the
+tree and the per-span time totals.  ``--log-json`` switches the
 structured log records to one JSON object per line on stderr.
 """
 
@@ -404,33 +402,6 @@ def _cmd_regress(args) -> int:
         print(f"surfaces: {pinned} pinned case(s) match the golden manifest")
         return 0
 
-    if args.gate == "bench":
-        from repro.regress import (
-            DEFAULT_BENCH_FILES,
-            append_history,
-            check_bench_file,
-        )
-
-        files = args.files or list(DEFAULT_BENCH_FILES)
-        problems: list[str] = []
-        for bench_file in files:
-            import pathlib
-
-            if not pathlib.Path(bench_file).is_file():
-                print(f"bench: {bench_file} not found (skipped)")
-                continue
-            problems += check_bench_file(bench_file, history_dir=args.history)
-            if args.record:
-                target = append_history(bench_file, history_dir=args.history)
-                if target is not None:
-                    print(f"bench: {bench_file} appended to {target}")
-        for problem in problems:
-            print(f"bench regression: {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        print(f"bench: {len(files)} snapshot(s) inside every tolerance band")
-        return 0
-
     # args.gate == "spans"
     from repro.regress import run_serve_span_gate, run_span_gate
 
@@ -450,8 +421,7 @@ def _cmd_regress(args) -> int:
     return 0
 
 
-#: The ``cache.*`` registry counters ``repro cache --stats`` and
-#: ``--profile`` report.
+#: The ``cache.*`` registry counters ``repro cache --stats`` reports.
 _CACHE_STATS = ("corrupt", "hits", "misses", "puts")
 
 
@@ -596,12 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SHIL analysis of LC oscillators (Bhushan, DAC 2014)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="time the analysis phases and write BENCH_<ID>.json "
-        "(place before the subcommand)",
     )
     parser.add_argument(
         "--trace",
@@ -906,13 +870,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_regress = sub.add_parser(
         "regress",
-        help="fleet-scale regression gates (surfaces, bench bands, span budgets)",
-        description="Run one of the three CI regression gates: 'surfaces' "
+        help="regression gates (surfaces, span budgets)",
+        description="Run one of the two CI regression gates: 'surfaces' "
         "diffs freshly computed surface fingerprints against the committed "
-        "golden manifest, 'bench' enforces tolerance bands on the BENCH_*.json "
-        "snapshots against their recorded history, and 'spans' replays a "
-        "canonical verify-matrix slice under tracing and asserts the recorded "
-        "work telemetry against declared budgets. All exit non-zero on drift.",
+        "golden manifest, and 'spans' replays a canonical verify-matrix "
+        "slice under tracing and asserts the recorded work telemetry against "
+        "declared budgets. Both exit non-zero on drift.",
     )
     regress_sub = p_regress.add_subparsers(dest="gate", required=True)
 
@@ -937,34 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(an intentional, reviewed regen — never run this to quiet CI)",
     )
     p_surfaces.set_defaults(func=_cmd_regress)
-
-    p_bench = regress_sub.add_parser(
-        "bench",
-        help="enforce tolerance bands on BENCH_*.json against their history",
-        description="Check each BENCH snapshot's metrics against the declared "
-        "bands: absolute exactness bounds (width deviations stay 0) against "
-        "the snapshot itself, ratio bounds (speedup_x >= 0.8x trailing "
-        "median) against benchmarks/results/history/<BENCH>.jsonl. With "
-        "--record, also append the snapshot to the history (bench jobs only).",
-    )
-    p_bench.add_argument(
-        "files",
-        nargs="*",
-        metavar="BENCH_FILE",
-        help="snapshot files to gate (default: BENCH_SPEED/TRANSIENT/SWEEP"
-        ".json in the working directory; missing files are skipped)",
-    )
-    p_bench.add_argument(
-        "--history",
-        default="benchmarks/results/history",
-        help="history directory of <BENCH>.jsonl files",
-    )
-    p_bench.add_argument(
-        "--record",
-        action="store_true",
-        help="append each checked snapshot to its history file",
-    )
-    p_bench.set_defaults(func=_cmd_regress)
 
     p_spans = regress_sub.add_parser(
         "spans",
@@ -1017,13 +952,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bench_id(args) -> str:
-    """Record id for the ``--profile`` dump (experiment id or command)."""
-    if args.command == "experiment":
-        return str(args.id).upper()
-    return str(args.command).upper()
-
-
 def _typed_exit_codes() -> list[tuple[type, str, int]]:
     """(exception type, human label, exit code), most specific first."""
     from repro.core.natural import NoOscillationError
@@ -1070,7 +998,6 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    raw_argv = list(argv) if argv is not None else sys.argv[1:]
     if args.log_json:
         from repro.obs import enable_json_logs
 
@@ -1079,45 +1006,22 @@ def main(argv: list[str] | None = None) -> int:
         from repro.odesim import set_default_engine
 
         set_default_engine(args.engine)
-    tracing = args.trace is not None
-    if tracing:
-        from repro.obs import tracer
-
-        tracer.enable()
-    if not (args.profile or tracing):
+    if args.trace is None:
         return _run_command(args)
 
-    from repro.obs import metrics
-    from repro.perf import profiler, write_bench_json
+    from repro.obs import tracer, write_obs_report
 
-    cache_before = {stat: metrics.counter(f"cache.{stat}") for stat in _CACHE_STATS}
-    if args.profile:
-        profiler.enable()
-    try:
-        code = _run_command(args)
-    finally:
-        if args.profile:
-            profiler.disable()
-    if args.profile:
-        record = profiler.as_dict()
-        record["exit_code"] = int(code)
-        record["argv"] = raw_argv
-        record["cache"] = {
-            stat: metrics.counter(f"cache.{stat}") - before
-            for stat, before in cache_before.items()
-        }
-        path = write_bench_json(_bench_id(args), record)
-        print(f"profile written to {path}")
-    if tracing:
-        from repro.obs import tracer, write_obs_report
-
-        trace_path = tracer.write(args.trace)
-        tracer.disable()
-        report_path = write_obs_report(
-            argv=raw_argv, exit_code=code, trace_file=str(trace_path)
-        )
-        print(f"trace written to {trace_path}")
-        print(f"observability report written to {report_path}")
+    tracer.enable()
+    code = _run_command(args)
+    trace_path = tracer.write(args.trace)
+    tracer.disable()
+    report_path = write_obs_report(
+        argv=list(argv) if argv is not None else sys.argv[1:],
+        exit_code=code,
+        trace_file=str(trace_path),
+    )
+    print(f"trace written to {trace_path}")
+    print(f"observability report written to {report_path}")
     return code
 
 

@@ -35,7 +35,6 @@ from repro.core.stability import classify_by_jacobian
 from repro.core.two_tone import TwoToneDF
 from repro.nonlin.base import Nonlinearity
 from repro.obs import metrics, trace
-from repro.perf.timers import timed
 from repro.robust.diagnostics import record_fault
 from repro.robust.faults import SolveFault
 from repro.tank.base import PhaseInversionError, Tank
@@ -546,7 +545,7 @@ def predict_lock_range(
         half_cell = np.pi / (n_phi - 1)
         phis = np.linspace(half_cell, 2.0 * np.pi + half_cell, n_phi)
         grid = df.characterize(amplitudes, phis, tank_r)
-        with timed("curve-extraction"):
+        with trace("curve-extraction"):
             tf_curves = extract_level_curves(grid, "tf", 1.0)
         if not tf_curves:
             raise NoLockError(
@@ -556,7 +555,7 @@ def predict_lock_range(
 
         evaluate = df.i1_evaluator(amplitudes, phis) if method == "fft" else None
         samples: list[LockRangePoint] = []
-        with timed("curve-solve"):
+        with trace("curve-solve"):
             if evaluate is not None:
                 curve_phis = np.concatenate(
                     [np.asarray(c.x, dtype=float) for c in tf_curves]
@@ -614,7 +613,7 @@ def predict_lock_range(
                 return best
             return refined
 
-        with timed("edge-refine"):
+        with trace("edge-refine"):
             edge_low = refine_edge(+1.0)  # largest positive phi_d -> lowest freq
             edge_high = refine_edge(-1.0)  # most negative phi_d -> highest freq
 

@@ -71,10 +71,9 @@ import numpy as np
 
 from repro.core.describing_function import DEFAULT_SAMPLES
 from repro.nonlin.base import Nonlinearity
-from repro.obs import metrics
+from repro.obs import metrics, trace
 from repro.perf.fingerprint import array_hash, combine_keys, nonlinearity_fingerprint
 from repro.perf.sharded_cache import default_store
-from repro.perf.timers import timed
 from repro.robust.guards import guard_finite
 from repro.utils.grids import Grid2D
 from repro.utils.validation import check_positive
@@ -474,7 +473,7 @@ def precharacterize(
 
         def build(missing):
             metrics.inc("sweep.surface_builds", len(missing))
-            with timed("surface-build"):
+            with trace("surface-build"):
                 surfaces = two_tone_surfaces_stacked(
                     nonlinearity, amplitudes, missing, n, n_samples
                 )
@@ -500,7 +499,7 @@ def precharacterize(
         }
 
         def build(missing):
-            with timed("dense-grid-build"):
+            with trace("dense-grid-build"):
                 return [
                     (
                         {
@@ -981,7 +980,7 @@ class TwoToneDF:
             return cached
         if np.any(amplitudes <= 0.0):
             raise ValueError("amplitude grid must be strictly positive")
-        with timed("characterize"):
+        with trace("characterize"):
             # meshgrid convention: rows vary A, columns vary phi.
             if method == "fft":
                 surface = self.surface(amplitudes)

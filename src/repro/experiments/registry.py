@@ -32,7 +32,6 @@ from repro.experiments.section4_tunnel import (
     run_fig19,
     run_table2,
 )
-from repro.experiments.verification import run_verify
 
 __all__ = ["EXPERIMENTS", "run_experiment"]
 
@@ -59,7 +58,6 @@ EXPERIMENTS = {
     "ABL1": run_ablation_grid,
     "ABL2": run_ablation_baselines,
     "ABL3": run_ablation_filtering,
-    "VERIFY": run_verify,
 }
 
 

@@ -7,7 +7,8 @@ This package provides the four pieces (DESIGN.md §9):
 
 * :mod:`repro.obs.tracing` — hierarchical **spans** via :mod:`contextvars`
   (near-zero overhead disabled; JSON-lines trace files; the single timing
-  primitive the ``--profile`` phase timers are folded onto);
+  primitive of the repo, with :class:`~repro.obs.tracing.Clock` as its
+  stopwatch);
 * :mod:`repro.obs.metrics` — the process-wide **metrics registry**
   (counters / gauges / histograms: cache hits, DF evaluations by method,
   HB Newton iterations, rung transitions, faults by kind) with one

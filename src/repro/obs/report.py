@@ -4,8 +4,7 @@ The CLI's ``repro obs <trace>`` command is a thin wrapper over this
 module: :func:`render_trace` draws the span tree with durations and the
 load-bearing attributes (iteration counts, residual norms, cache
 verdicts), :func:`phase_totals` aggregates wall time per span name, and
-:func:`render_totals` prints the result as the familiar ``--profile``
-style table.
+:func:`render_totals` prints the result as a per-span totals table.
 
 :func:`write_obs_report` is the single metrics exporter: it snapshots the
 process-wide registry into ``OBS_REPORT.json`` together with run context
@@ -101,11 +100,10 @@ def render_trace(spans: list[dict], *, min_dur_s: float = 0.0) -> str:
         for span in by_parent.get(parent_id, ()):
             if span.get("dur_s", 0.0) < min_dur_s and span["span_id"] not in by_parent:
                 continue
-            marker = "- " if span.get("kind") == "phase" else "* "
             events = span.get("events") or ()
             tail = f"  ({len(events)} events)" if events else ""
             lines.append(
-                f"{indent}{marker}{span['name']}  "
+                f"{indent}* {span['name']}  "
                 f"{_format_duration(span.get('dur_s', 0.0))}"
                 f"{_format_attrs(span.get('attrs') or {})}{tail}"
             )
@@ -120,9 +118,7 @@ def render_trace(spans: list[dict], *, min_dur_s: float = 0.0) -> str:
 def phase_totals(spans: list[dict]) -> dict[str, dict[str, float]]:
     """Aggregate ``{name: {"total_s", "calls"}}`` over every span.
 
-    Matches the accumulation semantics of
-    :class:`repro.perf.timers.PhaseTimer` — nested same-name spans count
-    both times — so a trace and a ``BENCH_*.json`` of the same run agree.
+    Nested same-name spans count both times.
     """
     totals: dict[str, dict[str, float]] = {}
     for span in spans:

@@ -13,17 +13,17 @@ A *span* is one timed, attributed, nestable unit of work.  The process-wide
 
 Design constraints, in priority order:
 
-1. **Near-zero overhead when disabled.**  With no trace buffer and no
-   sinks registered, :meth:`Tracer.span` returns a shared no-op singleton:
+1. **Near-zero overhead when disabled.**  With no trace buffer,
+   :meth:`Tracer.span` returns a shared no-op singleton:
    the whole ``with`` block costs one attribute check and allocates
    nothing, so spans stay in production code (the describing-function and
    harmonic-balance hot paths included).  Hot-path attribute/event calls
    are guarded by ``span.recording`` so their keyword dicts are never
    built either.
-2. **One timing code path.**  :class:`repro.perf.timers.PhaseTimer` (the
-   ``--profile`` aggregator) is a *sink* over the same spans — see
-   :meth:`Tracer.add_sink` — so phase timing and tracing can never
-   disagree about what was measured.
+2. **One timing code path.**  Every timed block in the repo is a span;
+   per-name totals come from the trace itself
+   (:func:`repro.obs.report.phase_totals`), and :class:`Clock` is the
+   stopwatch for wall times that must be taken with tracing off.
 3. **Post-hoc diagnosability.**  With tracing on, every finished span is
    buffered as a JSON-safe record (parent id, depth, start offset,
    duration, attributes, events) and :meth:`Tracer.write` emits them as a
@@ -111,9 +111,10 @@ def new_trace_id() -> str:
 class Clock:
     """Monotonic stopwatch — the one wall-clock primitive under spans.
 
-    :class:`repro.perf.timers.Stopwatch` is a re-export of this class, so
-    every elapsed-seconds measurement in the repo shares a single clock
-    implementation.
+    Code that needs an elapsed time whether or not tracing is on (the
+    verify harness stamps each scenario's wall time into
+    ``VERIFY_REPORT.json``) uses this, so every elapsed-seconds
+    measurement in the repo shares a single clock implementation.
     """
 
     __slots__ = ("_start",)
@@ -188,7 +189,6 @@ class Span:
 
     __slots__ = (
         "name",
-        "kind",
         "span_id",
         "parent_id",
         "depth",
@@ -203,10 +203,9 @@ class Span:
         "_token",
     )
 
-    def __init__(self, owner: "Tracer", name: str, kind: str, attrs: dict | None):
+    def __init__(self, owner: "Tracer", name: str, attrs: dict | None):
         self._tracer = owner
         self.name = str(name)
-        self.kind = kind
         self.attrs = dict(attrs) if attrs else {}
         self.events: list[dict] = []
         self.span_id = 0
@@ -286,7 +285,7 @@ class Span:
             "span_id": self.span_id,
             "parent_id": self.parent_id,
             "name": self.name,
-            "kind": self.kind,
+            "kind": "span",
             "depth": self.depth,
             "t_start_s": round(self._start_rel, 6),
             "dur_s": round(self.dur_s, 6),
@@ -306,20 +305,15 @@ class Span:
 
 
 class Tracer:
-    """Process-wide span factory, buffer, and sink dispatcher.
+    """Process-wide span factory and buffer.
 
-    Two independent reasons to be *active*:
-
-    * ``enable()``/``disable()`` — collect span records for a trace file;
-    * registered sinks — e.g. the ``--profile`` :class:`PhaseTimer`, which
-      aggregates span durations without buffering records.
-
-    When neither applies, :meth:`span` returns :data:`NOOP_SPAN`.
+    ``enable()``/``disable()`` switch the collection of span records for
+    a trace file; while it is off, :meth:`span` returns
+    :data:`NOOP_SPAN`.
     """
 
     def __init__(self) -> None:
         self._trace_on = False
-        self._sinks: list = []
         self._records: list[dict] = []
         self._dropped = 0
         self._count = 0
@@ -334,11 +328,6 @@ class Tracer:
         )
 
     # -- state ----------------------------------------------------------------
-
-    @property
-    def active(self) -> bool:
-        """Whether spans are being materialised at all."""
-        return self._trace_on or bool(self._sinks)
 
     @property
     def recording(self) -> bool:
@@ -422,22 +411,13 @@ class Tracer:
         finally:
             self._current.reset(token)
 
-    def add_sink(self, sink) -> None:
-        """Register an object with an ``on_span(span)`` method."""
-        if sink not in self._sinks:
-            self._sinks.append(sink)
-
-    def remove_sink(self, sink) -> None:
-        if sink in self._sinks:
-            self._sinks.remove(sink)
-
     # -- span factory ---------------------------------------------------------
 
-    def span(self, name: str, kind: str = "span", attrs: dict | None = None):
+    def span(self, name: str, attrs: dict | None = None):
         """A context-managed span, or the no-op singleton when inactive."""
-        if not (self._trace_on or self._sinks):
+        if not self._trace_on:
             return NOOP_SPAN
-        return Span(self, name, kind, attrs)
+        return Span(self, name, attrs)
 
     def _finish(self, span: Span) -> None:
         if self._trace_on:
@@ -445,8 +425,6 @@ class Tracer:
                 self._records.append(span.to_record())
             else:
                 self._dropped += 1
-        for sink in self._sinks:
-            sink.on_span(span)
 
     # -- export ---------------------------------------------------------------
 

@@ -9,9 +9,9 @@ integrated).  Three pieces:
 **Engine selection.**  ``"auto"`` (the default) runs the fastest available
 path — the compiled kernels of :mod:`repro.odesim.kernels` when the
 nonlinearity is kernel-compilable, the fused-numpy fallback otherwise.
-``"compiled"`` insists on a genuinely compiled backend (generated C or
-numba) and raises when none is available — use it in benchmarks so a
-missing toolchain fails loudly instead of silently measuring the fallback.
+``"compiled"`` insists on the generated-C backend and raises when it is
+not available — use it in benchmarks so a missing toolchain fails loudly
+instead of silently measuring the fallback.
 ``"reference"`` forces the original Python-callback RK4 loop, which is the
 referee every fast path is validated against.  The process-wide default
 comes from ``$REPRO_ENGINE`` or :func:`set_default_engine`; the CLI's
@@ -109,7 +109,7 @@ def _kernel_backend(engine: str) -> str:
         if backend is None:
             raise RuntimeError(
                 "engine 'compiled' requested but no compiled kernel backend "
-                "is available (no working C compiler and no numba); use "
+                "is available (no working C compiler); use "
                 "engine 'auto' for the fused-numpy fallback"
             )
         return backend

@@ -1,4 +1,4 @@
-"""Performance subsystem: the surface store and phase timing.
+"""Performance subsystem: the surface store.
 
 The paper's pitch is that describing-function surfaces are "pre-characterised
 computationally, at minimal cost, for any given nonlinearity" — which only
@@ -15,10 +15,10 @@ package supplies the plumbing that makes that true across processes:
   builds; ``REPRO_CACHE_DIR`` moves the root, ``REPRO_NO_CACHE=1`` turns
   the store off;
 * :mod:`repro.perf.surface_cache` — its per-shard disk tier (atomic
-  writes, schema check, quarantine of corrupt records);
-* :mod:`repro.perf.timers` — near-zero-overhead phase timers and the
-  machine-readable ``BENCH_*.json`` emitter behind the CLI ``--profile``
-  flag.
+  writes, schema check, quarantine of corrupt records).
+
+Timing is not here: every timed block is a span of
+:mod:`repro.obs.tracing`.
 """
 
 from repro.perf.fingerprint import (
@@ -29,13 +29,6 @@ from repro.perf.fingerprint import (
 )
 from repro.perf.sharded_cache import ShardedSurfaceCache, default_store, using_store
 from repro.perf.surface_cache import SurfaceCache, cache_disabled
-from repro.perf.timers import (
-    PhaseTimer,
-    Stopwatch,
-    profiler,
-    timed,
-    write_bench_json,
-)
 
 __all__ = [
     "array_hash",
@@ -47,9 +40,4 @@ __all__ = [
     "ShardedSurfaceCache",
     "default_store",
     "using_store",
-    "PhaseTimer",
-    "Stopwatch",
-    "profiler",
-    "timed",
-    "write_bench_json",
 ]

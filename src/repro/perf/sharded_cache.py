@@ -16,7 +16,7 @@ cold record produce exactly one build.  ``REPRO_NO_CACHE=1`` turns both
 tiers off.
 
 Metrics — the only cache statistics (``repro cache --stats``,
-``--profile``, the fault harness): every lookup bumps exactly one of
+``OBS_REPORT.json``, the fault harness): every lookup bumps exactly one of
 ``cache.hits`` (either tier answered) or ``cache.misses``; ``cache.puts``
 and ``cache.corrupt`` count disk writes and quarantines;
 ``cache.lru_evictions`` and ``cache.singleflight_{builds,waits,takeovers}``
@@ -34,14 +34,13 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.obs import metrics
+from repro.obs import metrics, trace
 from repro.perf.surface_cache import (
     DEFAULT_MAX_ENTRIES,
     SurfaceCache,
     _default_root,
     cache_disabled,
 )
-from repro.perf.timers import timed
 
 __all__ = ["ShardedSurfaceCache", "default_store", "using_store"]
 
@@ -184,7 +183,7 @@ class ShardedSurfaceCache:
 
     def get(self, shard: str, key: str):
         """Two-tier lookup: in-process LRU first, then the shard on disk."""
-        with timed("surface-cache-lookup"):
+        with trace("surface-cache-lookup"):
             cached = self._lru_get(shard, key)
             if cached is not None:
                 return cached

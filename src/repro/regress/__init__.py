@@ -1,18 +1,13 @@
 """Fleet-scale regression gates (ROADMAP item 5).
 
-Three observability/bench layers that used to be dashboards become one
-enforced gate, run by CI on every push via ``repro regress``:
+Two observability layers that used to be dashboards become enforced
+gates, run by CI on every push via ``repro regress``:
 
 * :mod:`repro.regress.surfaces` — the **golden surface manifest**:
   committed content hashes (payload fingerprint + cache disk key) of a
   declared set of pre-characterised surfaces, so a 1e-16 numerical drift
   or a cache-key recipe change fails loudly and regen is an explicit,
   reviewed ``--update``;
-* :mod:`repro.regress.bench` — the **BENCH history store**: every
-  BENCH_SPEED/TRANSIENT/SWEEP snapshot appends to
-  ``benchmarks/results/history/*.jsonl`` and must stay inside the
-  tolerance bands of :mod:`repro.regress.budgets` (speedups may not fall
-  below 0.8x the trailing median; width deviations must stay 0);
 * :mod:`repro.regress.spans` — the **span-budget gate**: a canonical
   quick verify-matrix replay under tracing whose recorded
   ``hb.iterations`` / ``df.evaluations`` / ``ladder.*`` / ``cache.*``
@@ -23,23 +18,16 @@ enforced gate, run by CI on every push via ``repro regress``:
   events, and stay inside the serve-layer budgets.
 
 This is the guardrail that lets the hot paths keep being refactored
-aggressively: any silent slowdown, work blow-up, or bitwise surface
-drift is caught by the gate rather than by a user.
+aggressively: any work blow-up or bitwise surface drift is caught by the
+gate rather than by a user.  Wall-time regressions are the benchmark's
+job (``perfbench/``, parent-vs-change runs), and the fixed speed-up
+floors live in the harness tests under ``benchmarks/``.
 """
 
-from repro.regress.bench import (
-    DEFAULT_BENCH_FILES,
-    DEFAULT_HISTORY_DIR,
-    append_history,
-    check_bench_file,
-    load_history,
-)
 from repro.regress.budgets import (
-    BENCH_BANDS,
     BUDGET_SCENARIOS,
     SERVE_SPAN_BUDGETS,
     SPAN_BUDGETS,
-    Band,
     SpanBudget,
 )
 from repro.regress.spans import (
@@ -61,19 +49,12 @@ from repro.regress.surfaces import (
 )
 
 __all__ = [
-    "Band",
     "SpanBudget",
-    "BENCH_BANDS",
     "SPAN_BUDGETS",
     "BUDGET_SCENARIOS",
-    "DEFAULT_BENCH_FILES",
-    "DEFAULT_HISTORY_DIR",
     "DEFAULT_MANIFEST_PATH",
     "MANIFEST_CASES",
     "SurfaceCase",
-    "append_history",
-    "check_bench_file",
-    "load_history",
     "check_surfaces",
     "compute_manifest",
     "diff_manifest",

@@ -1,17 +1,16 @@
-"""Declared tolerance bands and span budgets for the regression gates.
+"""Declared span budgets for the regression gates.
 
 Every number a gate enforces lives in this module, so loosening or
 tightening a gate is a one-line reviewed diff rather than an edit buried
 in harness code.  Three families:
 
-* :data:`BENCH_BANDS` — per-metric tolerance bands on the committed
-  ``BENCH_*.json`` snapshots, checked against the trailing history in
-  ``benchmarks/results/history/*.jsonl`` (:mod:`repro.regress.bench`);
 * :data:`SPAN_BUDGETS` — work-count budgets on the telemetry a quick
   verify-matrix replay records (:mod:`repro.regress.spans`);
 * :data:`BUDGET_SCENARIOS` — the canonical replay the span budgets are
   calibrated against (one scenario per oscillator-family tier, cheap
-  enough for every push).
+  enough for every push);
+* :data:`SERVE_SPAN_BUDGETS` — the shape of the stitched trace a traced
+  replay through a live service records.
 
 Calibration note: the span budgets carry ~1.4x headroom over the values
 measured at declaration time, so ordinary numerical jitter never fires
@@ -24,68 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = [
-    "Band",
     "SpanBudget",
-    "BENCH_BANDS",
-    "BENCH_GROUP_KEYS",
     "SERVE_SPAN_BUDGETS",
     "SPAN_BUDGETS",
     "BUDGET_SCENARIOS",
-    "TRAILING_WINDOW",
 ]
-
-#: How many trailing history entries feed the rolling median.
-TRAILING_WINDOW = 20
-
-
-@dataclass(frozen=True)
-class Band:
-    """Tolerance band for one metric of a BENCH snapshot.
-
-    Absolute bounds (``max_abs`` / ``min_abs``) pin exactness contracts —
-    a width deviation that "must stay 0" stays 0.  Ratio bounds compare
-    the current value against the trailing median of the metric's history
-    (per bench group), which is what catches a *gradual* slide no single
-    snapshot diff would flag.
-    """
-
-    metric: str
-    max_abs: float | None = None
-    min_abs: float | None = None
-    #: value must be >= this fraction of the trailing median.
-    min_ratio_to_median: float | None = None
-    #: value must be <= this multiple of the trailing median.
-    max_ratio_to_median: float | None = None
-
-
-#: Which top-level key of each BENCH payload holds its per-group records.
-BENCH_GROUP_KEYS = {
-    "SPEED": "methods",
-    "TRANSIENT": "oscillators",
-    "SWEEP": "grids",
-}
-
-#: The enforced bands, per bench id.  Speedups are relative measurements
-#: (fast path vs referee on the same machine), so ratio-to-median bands
-#: are meaningful even across heterogeneous CI runners; deviation metrics
-#: are exactness contracts and get absolute bounds.
-BENCH_BANDS: dict[str, tuple[Band, ...]] = {
-    "SPEED": (
-        Band("speedup_x", min_ratio_to_median=0.8),
-        Band("max_i1_deviation_A", max_abs=1e-12),
-        Band("edge_deviation_rel_width", max_abs=1e-4),
-        Band("t_warm_characterize_s", max_ratio_to_median=5.0),
-    ),
-    "TRANSIENT": (
-        Band("speedup_x", min_ratio_to_median=0.8),
-        Band("max_lock_edge_deviation_rad_s", max_abs=0.0),
-    ),
-    "SWEEP": (
-        Band("speedup_x", min_ratio_to_median=0.8),
-        Band("max_width_deviation_rel", max_abs=0.0),
-        Band("status_mismatches", max_abs=0.0),
-    ),
-}
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Callable, Iterable, Sequence
 
-from repro.obs import metrics, trace
-from repro.perf import Stopwatch, timed
+from repro.obs import Clock, metrics, trace
 from repro.verify.checks import (
     FULL_ONLY_CHECKS,
     QUICK_CHECKS,
@@ -61,7 +60,7 @@ def run_scenario(scenario: Scenario, mode: str = "quick") -> ScenarioVerdict:
     while the scenario ran.  The golden regression diff compares check
     statuses only, so this context rides along without pinning timings.
     """
-    watch = Stopwatch()
+    watch = Clock()
     verdict = ScenarioVerdict(
         scenario_id=scenario.scenario_id, description=scenario.describe()
     )
@@ -69,7 +68,7 @@ def run_scenario(scenario: Scenario, mode: str = "quick") -> ScenarioVerdict:
     with trace(
         "verify.scenario", attrs={"scenario": scenario.scenario_id, "mode": mode}
     ) as sp:
-        with timed(f"verify.{scenario.scenario_id}"):
+        with trace(f"verify.{scenario.scenario_id}"):
             artifacts = build_artifacts(scenario)
             battery = QUICK_CHECKS + (FULL_ONLY_CHECKS if mode == "full" else ())
             for check in battery:
@@ -302,7 +301,7 @@ def run_matrix(
     else:
         scenarios = scenario_matrix(mode)
         effective_mode = mode
-    watch = Stopwatch()
+    watch = Clock()
     report = VerifyReport(mode=effective_mode)
     for scenario in scenarios:
         if progress is not None:

@@ -18,7 +18,7 @@ class TestRegistry:
             "FIG3", "FIG6", "FIG7", "FIG9", "FIG10",
             "FIG12", "FIG13", "FIG14", "FIG15", "TAB1",
             "FIG16", "FIG17", "FIG18", "FIG19", "TAB2",
-            "SPEED", "TRANSIENT", "SWEEP", "ABL1", "ABL2", "ABL3", "VERIFY",
+            "SPEED", "TRANSIENT", "SWEEP", "ABL1", "ABL2", "ABL3",
         }
         assert set(EXPERIMENTS) == expected
 

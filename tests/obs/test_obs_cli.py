@@ -12,8 +12,10 @@ from repro.obs import load_trace, validate_obs_report, validate_trace
 
 @pytest.fixture
 def traced_run(clean_obs, tmp_path, monkeypatch):
-    """One lockrange run under --trace --log-json, in a scratch cwd."""
+    """One lockrange run under --trace --log-json, in a scratch cwd, on an
+    empty surface store (so the run builds its surfaces)."""
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     code = main(
         [
             "--trace",
@@ -51,6 +53,17 @@ class TestTraceFlag:
         assert by_name["lockrange"]["parent_id"] == by_name["rung"]["span_id"]
         assert by_name["characterize"]["depth"] > by_name["lockrange"]["depth"]
 
+    def test_records_the_phase_spans(self, traced_run):
+        _, spans = load_trace(traced_run / "TRACE.jsonl")
+        assert {
+            "characterize",
+            "curve-extraction",
+            "curve-solve",
+            "edge-refine",
+            "surface-build",
+            "surface-cache-lookup",
+        } <= {s["name"] for s in spans}
+
     def test_report_carries_run_context_and_counters(self, traced_run):
         payload = json.loads((traced_run / "OBS_REPORT.json").read_text())
         assert payload["exit_code"] == 0
@@ -59,6 +72,7 @@ class TestTraceFlag:
         counters = payload["metrics"]["counters"]
         assert counters["lockrange.solves{method=fft}"] == 1
         assert any(key.startswith("df.evaluations") for key in counters)
+        assert counters["cache.misses"] >= 1
 
     def test_custom_trace_path(self, clean_obs, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -187,25 +187,6 @@ class TestLoadTrace:
             load_trace(empty)
 
 
-class TestSinks:
-    def test_sink_sees_spans_without_tracing(self, clean_obs):
-        finished = []
-
-        class Sink:
-            def on_span(self, span):
-                finished.append((span.name, span.kind))
-
-        sink = Sink()
-        tracer.add_sink(sink)
-        try:
-            with trace("observed"):
-                pass
-        finally:
-            tracer.remove_sink(sink)
-        assert finished == [("observed", "span")]
-        assert tracer.records() == []  # sink-only mode buffers nothing
-
-
 class TestStitching:
     """Trace-context propagation and cross-process grafting (schema v1.1)."""
 

@@ -1,4 +1,4 @@
-"""Backend parity for the chunked RK4 kernels (C / numba / numpy)."""
+"""Backend parity for the chunked RK4 kernels (C / numpy)."""
 
 import numpy as np
 import pytest

@@ -110,7 +110,7 @@ class TestPropertyTanh:
 
 @pytest.mark.tier2
 class TestPropertySlowFamilies:
-    """The diffpair and tunnel halves of the BENCH_SPEED family trio.
+    """The diffpair and tunnel halves of the SPEED bench family trio.
 
     Each solve costs 0.3-0.8 s, so these run in the tier-2 lane with the
     verify matrix (``pytest -m tier2``).

@@ -84,20 +84,6 @@ class TestMethodAndProfile:
                 ["locks", "--oscillator", "tanh", "--method", "magic"]
             )
 
-    def test_profile_writes_bench_json(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["--profile", "lockrange", "--oscillator", "tanh"]) == 0
-        out = capsys.readouterr().out
-        path = tmp_path / "BENCH_LOCKRANGE.json"
-        assert path.exists()
-        assert "profile written to" in out
-        record = json.loads(path.read_text())
-        assert record["bench"] == "LOCKRANGE"
-        assert record["exit_code"] == 0
-        assert record["argv"] == ["--profile", "lockrange", "--oscillator", "tanh"]
-        assert "characterize" in record["phases"]
-        assert {"hits", "misses"} <= set(record["cache"])
-
 
 class TestCacheStats:
     def test_stats_report_legacy_records_separately(
