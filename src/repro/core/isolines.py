@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.curves import LevelCurve, extract_level_curves
 from repro.core.describing_function import DEFAULT_SAMPLES
-from repro.core.natural import predict_natural_oscillation
+from repro.core.natural import lock_grid
 from repro.core.two_tone import TwoToneDF
 from repro.nonlin.base import Nonlinearity
 from repro.robust.diagnostics import record_fault
@@ -83,7 +83,6 @@ def build_isoline_picture(
     n_phi: int = 241,
     n_samples: int = DEFAULT_SAMPLES,
     method: str = "fft",
-    df: TwoToneDF | None = None,
 ) -> IsolinePicture:
     """Assemble the graphical lock-range picture.
 
@@ -102,32 +101,20 @@ def build_isoline_picture(
         ``"fft"`` (default) pre-characterises through the factorised
         surface (cache-backed, shared with the lock-range solver);
         ``"dense"`` forces the direct-quadrature referee.
-    df:
-        A pre-built :class:`~repro.core.two_tone.TwoToneDF` to reuse
-        instead of constructing one (the sweep engine's amortisation
-        seam); must match ``(v_i, n, n_samples, method)``.
     """
     check_positive("v_i", v_i)
     if angles is None:
         angles = np.linspace(-0.45, 0.45, 13)
-    if amplitude_window is None:
-        natural = predict_natural_oscillation(nonlinearity, tank, n_samples=n_samples)
-        amplitude_window = (0.3 * natural.amplitude, 1.4 * natural.amplitude)
-    a_lo, a_hi = amplitude_window
-
-    if df is None:
-        df = TwoToneDF(nonlinearity, v_i, int(n), n_samples=n_samples, method=method)
-    elif (df.v_i, df.n, df.n_samples, df.method) != (v_i, int(n), n_samples, method):
-        raise ValueError(
-            "injected df does not match the requested picture "
-            f"(v_i={v_i!r}, n={n!r}, n_samples={n_samples!r}, method={method!r})"
-        )
-    half_cell = np.pi / (n_phi - 1)
-    grid = df.characterize(
-        np.linspace(a_lo, a_hi, n_a),
-        np.linspace(half_cell, 2.0 * np.pi + half_cell, n_phi),
-        tank.peak_resistance,
+    _, amplitudes, phis = lock_grid(
+        nonlinearity,
+        tank,
+        n_a=n_a,
+        n_phi=n_phi,
+        n_samples=n_samples,
+        amplitude_window=amplitude_window,
     )
+    df = TwoToneDF(nonlinearity, v_i, int(n), n_samples=n_samples, method=method)
+    grid = df.characterize(amplitudes, phis, tank.peak_resistance)
     tf_curves = extract_level_curves(grid, "tf", 1.0)
     isolines = []
     for angle in np.asarray(angles, dtype=float):

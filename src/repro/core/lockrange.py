@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.averaging import SlowFlow
 from repro.core.curves import extract_level_curves
 from repro.core.describing_function import DEFAULT_SAMPLES
-from repro.core.natural import predict_natural_oscillation
+from repro.core.natural import lock_grid
 from repro.core.shil import solve_lock_states
 from repro.core.stability import classify_by_jacobian
 from repro.core.two_tone import TwoToneDF
@@ -466,7 +466,8 @@ def predict_lock_range(
     n:
         Sub-harmonic order.
     amplitude_window:
-        Search window for A; defaults to 0.3x..1.4x the natural amplitude.
+        Search window for A; defaults to 0.3x..1.4x the natural amplitude
+        (:func:`~repro.core.natural.lock_grid`).
     n_a, n_phi:
         Grid resolution for the invariant-curve extraction.  The final
         limits are refined to sub-grid accuracy, so moderate grids
@@ -481,11 +482,12 @@ def predict_lock_range(
         ablation baseline; both methods agree to solver tolerance on
         smooth laws.
     df:
-        A pre-built :class:`~repro.core.two_tone.TwoToneDF` to reuse
-        instead of constructing one — the sweep engine's amortisation
-        seam.  Must match ``(v_i, n, n_samples, method)`` exactly; an
-        adopted surface on the injected instance makes the solve bitwise
-        identical to the scalar path while skipping the FFT build.
+        A pre-built :class:`~repro.core.two_tone.TwoToneDF` to solve on
+        instead of constructing one; must match ``(v_i, n, n_samples,
+        method)`` exactly.  The sweep engine passes DFs from
+        :meth:`~repro.core.two_tone.TwoToneDF.batch`, whose surfaces are
+        already built for this grid, so the solve skips the store lookup
+        and stays bitwise identical to a call without ``df``.
 
     Raises
     ------
@@ -504,13 +506,14 @@ def predict_lock_range(
         attrs={"n": n, "v_i": v_i, "method": method, "n_a": n_a, "n_phi": n_phi},
     ) as sp:
         tank_r = tank.peak_resistance
-        if amplitude_window is None:
-            natural = predict_natural_oscillation(
-                nonlinearity, tank, n_samples=n_samples
-            )
-            amplitude_window = (0.3 * natural.amplitude, 1.4 * natural.amplitude)
-        a_lo, a_hi = amplitude_window
-        check_positive("amplitude_window[0]", a_lo)
+        amplitude_window, amplitudes, phis = lock_grid(
+            nonlinearity,
+            tank,
+            n_a=n_a,
+            n_phi=n_phi,
+            n_samples=n_samples,
+            amplitude_window=amplitude_window,
+        )
 
         if df is None:
             df = TwoToneDF(nonlinearity, v_i, n, n_samples=n_samples, method=method)
@@ -539,11 +542,6 @@ def predict_lock_range(
                         if name in mismatches
                     )
                 )
-        amplitudes = np.linspace(a_lo, a_hi, n_a)
-        # Half-cell offset keeps symmetric-nonlinearity zero lines off the
-        # sampling columns (see solve_lock_states).
-        half_cell = np.pi / (n_phi - 1)
-        phis = np.linspace(half_cell, 2.0 * np.pi + half_cell, n_phi)
         grid = df.characterize(amplitudes, phis, tank_r)
         with trace("curve-extraction"):
             tf_curves = extract_level_curves(grid, "tf", 1.0)

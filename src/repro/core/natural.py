@@ -23,8 +23,14 @@ from repro.nonlin.base import Nonlinearity
 from repro.robust.guards import guard_finite
 from repro.tank.base import Tank
 from repro.utils.grids import refine_bracket
+from repro.utils.validation import check_positive
 
-__all__ = ["NaturalOscillation", "predict_natural_oscillation", "find_all_amplitudes"]
+__all__ = [
+    "NaturalOscillation",
+    "predict_natural_oscillation",
+    "find_all_amplitudes",
+    "lock_grid",
+]
 
 
 @dataclass(frozen=True)
@@ -196,3 +202,41 @@ def predict_natural_oscillation(
         amplitude_grid=grid,
         tf_curve=curve,
     )
+
+
+def lock_grid(
+    nonlinearity: Nonlinearity,
+    tank: Tank,
+    *,
+    n_a: int,
+    n_phi: int,
+    n_samples: int = DEFAULT_SAMPLES,
+    amplitude_window: tuple[float, float] | None = None,
+    widen: float = 1.0,
+) -> tuple[tuple[float, float], np.ndarray, np.ndarray]:
+    """The ``(A, phi)`` grid every injection-locking solve pre-characterises.
+
+    Returns ``(amplitude_window, amplitudes, phis)``.  The default window
+    is 0.3x to 1.4x the natural amplitude (solved with ``n_samples``),
+    stretched by ``widen`` on both sides; an explicit ``amplitude_window``
+    is used as given.  Either way it must satisfy ``0 < A_min < A_max``.
+    ``amplitudes`` spans the window in ``n_a`` points and ``phis`` covers
+    one period in ``n_phi`` points, offset by half a cell: symmetric
+    nonlinearities put exact zeros of the phase residual on ``phi = 0``
+    and ``pi``, and sampling exactly there hides the sign changes from
+    the contour extraction.
+    """
+    if amplitude_window is None:
+        natural = predict_natural_oscillation(nonlinearity, tank, n_samples=n_samples)
+        amplitude_window = (
+            0.3 * natural.amplitude / widen,
+            1.4 * natural.amplitude * widen,
+        )
+    a_lo, a_hi = amplitude_window
+    check_positive("amplitude_window[0]", a_lo)
+    if not a_hi > a_lo:
+        raise ValueError("amplitude_window must satisfy A_max > A_min")
+    amplitudes = np.linspace(a_lo, a_hi, n_a)
+    half_cell = np.pi / (n_phi - 1)
+    phis = np.linspace(half_cell, 2.0 * np.pi + half_cell, n_phi)
+    return (a_lo, a_hi), amplitudes, phis

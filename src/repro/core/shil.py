@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.averaging import SlowFlow
 from repro.core.curves import LevelCurve, extract_level_curves, intersect_curves
 from repro.core.describing_function import DEFAULT_SAMPLES
-from repro.core.natural import predict_natural_oscillation
+from repro.core.natural import lock_grid
 from repro.core.stability import StabilityVerdict, classify_by_jacobian
 from repro.core.states import enumerate_states
 from repro.core.two_tone import TwoToneDF
@@ -189,7 +189,8 @@ def solve_lock_states(
         machinery.
     amplitude_window:
         ``(A_min, A_max)`` search window; by default centred on the
-        natural-oscillation amplitude (0.3x to 1.4x).
+        natural-oscillation amplitude (0.3x to 1.4x,
+        :func:`~repro.core.natural.lock_grid`).
     n_a, n_phi:
         Grid resolution of the pre-characterisation.
     n_samples:
@@ -217,23 +218,15 @@ def solve_lock_states(
         phi_d = float(tank.phase(np.asarray(w_i)))
         tank_r = tank.peak_resistance
 
-        if amplitude_window is None:
-            natural = predict_natural_oscillation(
-                nonlinearity, tank, n_samples=n_samples
-            )
-            amplitude_window = (0.3 * natural.amplitude, 1.4 * natural.amplitude)
-        a_lo, a_hi = amplitude_window
-        check_positive("amplitude_window[0]", a_lo)
-        if not a_hi > a_lo:
-            raise ValueError("amplitude_window must satisfy A_max > A_min")
-
+        _, amplitudes, phis = lock_grid(
+            nonlinearity,
+            tank,
+            n_a=n_a,
+            n_phi=n_phi,
+            n_samples=n_samples,
+            amplitude_window=amplitude_window,
+        )
         df = TwoToneDF(nonlinearity, v_i, n, n_samples=n_samples, method=method)
-        amplitudes = np.linspace(a_lo, a_hi, n_a)
-        # Half-cell offset: symmetric nonlinearities put exact zeros of the
-        # phase residual on phi = 0 and pi; sampling exactly there hides the
-        # sign changes from the contour extraction.
-        half_cell = np.pi / (n_phi - 1)
-        phis = np.linspace(half_cell, 2.0 * np.pi + half_cell, n_phi)
         grid = df.characterize(amplitudes, phis, tank_r)
 
         # Smooth phase-condition residual: Im(-I_1 e^{j phi_d}) == 0 with the

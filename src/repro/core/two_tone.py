@@ -65,6 +65,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,27 +160,46 @@ def two_tone_fundamental(
         raise ValueError(
             f"n_samples={n_samples} too small to resolve the n={n} injection tone"
         )
+    cos_theta, cos_n, sin_n, kernel = _theta_constants(n, int(n_samples))
     amplitude = np.asarray(amplitude, dtype=float)
     phi = np.asarray(phi, dtype=float)
     out_shape = np.broadcast_shapes(amplitude.shape, phi.shape)
     a_flat = np.broadcast_to(amplitude, out_shape).reshape(-1)
     p_flat = np.broadcast_to(phi, out_shape).reshape(-1)
 
-    theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    cos_theta = np.cos(theta)
-    kernel = np.exp(-1j * theta) / n_samples
-
     n_points = a_flat.size
     result = np.empty(n_points, dtype=complex)
     chunk = max(1, _CHUNK_BUDGET // n_samples)
+    two_vi = 2.0 * v_i
     for start in range(0, n_points, chunk):
         stop = min(start + chunk, n_points)
         a = a_flat[start:stop, None]
-        p = p_flat[start:stop, None]
-        v_in = a * cos_theta[None, :] + 2.0 * v_i * np.cos(n * theta[None, :] + p)
+        cos_p = np.cos(p_flat[start:stop])[:, None]
+        sin_p = np.sin(p_flat[start:stop])[:, None]
+        # cos(n theta + phi) by angle addition: no per-call trigonometry
+        # over the theta grid, which the scalar solver paths would pay
+        # tens of thousands of times.
+        v_in = a * cos_theta + two_vi * (cos_p * cos_n - sin_p * sin_n)
         current = np.asarray(nonlinearity(v_in), dtype=float)
         result[start:stop] = current @ kernel
     return result.reshape(out_shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _theta_constants(n: int, n_samples: int) -> tuple[np.ndarray, ...]:
+    """``(cos theta, cos n theta, sin n theta, exp(-j theta) / S)`` on the
+    uniform ``S = n_samples`` theta grid — shared by every dense quadrature,
+    hence read-only."""
+    theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
+    constants = (
+        np.cos(theta),
+        np.cos(n * theta),
+        np.sin(n * theta),
+        np.exp(-1j * theta) / n_samples,
+    )
+    for array in constants:
+        array.setflags(write=False)
+    return constants
 
 
 # -- FFT-factorised pre-characterisation --------------------------------------
@@ -764,7 +784,6 @@ class TwoToneDF:
     _grid_cache: dict = field(default_factory=dict, repr=False)
     _surface_memo: dict = field(default_factory=dict, repr=False)
     _dense_grid_memo: dict = field(default_factory=dict, repr=False)
-    _quad: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.n = _validate_order(self.n)
@@ -774,51 +793,14 @@ class TwoToneDF:
 
     # -- pointwise fields (always exact dense quadrature) ---------------------
 
-    def _quadrature(self) -> dict:
-        """Precomputed per-instance quadrature constants.
-
-        Caching these (and expanding ``cos(n theta + phi)`` by the angle
-        addition formula) removes the per-call trigonometry that dominated
-        scalar ``i1`` queries in the profile — the solver paths make tens
-        of thousands of them.
-        """
-        if not self._quad:
-            theta = 2.0 * np.pi * np.arange(self.n_samples) / self.n_samples
-            self._quad["cos_theta"] = np.cos(theta)
-            self._quad["cos_n"] = np.cos(self.n * theta)
-            self._quad["sin_n"] = np.sin(self.n * theta)
-            self._quad["kernel"] = np.exp(-1j * theta) / self.n_samples
-        return self._quad
-
     def i1(self, amplitude, phi) -> np.ndarray:
-        """Complex fundamental phasor ``I_1(A, phi)`` (exact quadrature)."""
-        if self.n_samples < 8 * self.n:
-            raise ValueError(
-                f"n_samples={self.n_samples} too small to resolve the "
-                f"n={self.n} injection tone"
-            )
-        quad = self._quadrature()
-        amplitude = np.asarray(amplitude, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        out_shape = np.broadcast_shapes(amplitude.shape, phi.shape)
-        a_flat = np.broadcast_to(amplitude, out_shape).reshape(-1)
-        p_flat = np.broadcast_to(phi, out_shape).reshape(-1)
-        n_points = a_flat.size
-        metrics.inc("df.evaluations", n_points, method="dense")
-        result = np.empty(n_points, dtype=complex)
-        chunk = max(1, _CHUNK_BUDGET // self.n_samples)
-        two_vi = 2.0 * self.v_i
-        for start in range(0, n_points, chunk):
-            stop = min(start + chunk, n_points)
-            a = a_flat[start:stop, None]
-            cos_p = np.cos(p_flat[start:stop])[:, None]
-            sin_p = np.sin(p_flat[start:stop])[:, None]
-            v_in = a * quad["cos_theta"] + two_vi * (
-                cos_p * quad["cos_n"] - sin_p * quad["sin_n"]
-            )
-            current = np.asarray(self.nonlinearity(v_in), dtype=float)
-            result[start:stop] = current @ quad["kernel"]
-        return result.reshape(out_shape)
+        """Complex fundamental phasor ``I_1(A, phi)`` (exact quadrature,
+        :func:`two_tone_fundamental`)."""
+        i1 = two_tone_fundamental(
+            self.nonlinearity, amplitude, self.v_i, phi, self.n, self.n_samples
+        )
+        metrics.inc("df.evaluations", i1.size, method="dense")
+        return i1
 
     def i1x(self, amplitude, phi) -> np.ndarray:
         """Cosine component ``Re I_1`` — the Eq. (10) ingredient."""
@@ -860,9 +842,9 @@ class TwoToneDF:
             raise ValueError("m_max must be >= 1")
         if self.n_samples <= 2 * m_max:
             raise ValueError("n_samples must exceed 2 * m_max")
-        quad = self._quadrature()
-        v_in = float(amplitude) * quad["cos_theta"] + 2.0 * self.v_i * (
-            np.cos(phi) * quad["cos_n"] - np.sin(phi) * quad["sin_n"]
+        cos_theta, cos_n, sin_n, _ = _theta_constants(self.n, self.n_samples)
+        v_in = float(amplitude) * cos_theta + 2.0 * self.v_i * (
+            np.cos(phi) * cos_n - np.sin(phi) * sin_n
         )
         current = np.asarray(self.nonlinearity(v_in), dtype=float)
         spectrum = np.fft.rfft(current) / self.n_samples
@@ -890,41 +872,36 @@ class TwoToneDF:
             self._surface_memo[memo_key] = surface
         return surface
 
-    def adopt_surface(
-        self, surface: TwoToneSurface, amplitudes: np.ndarray | None = None
-    ) -> None:
-        """Seed the in-memory memo with an externally built surface.
+    @classmethod
+    def batch(
+        cls,
+        nonlinearity: Nonlinearity,
+        v_is,
+        n: int,
+        amplitudes: np.ndarray,
+        *,
+        n_samples: int = DEFAULT_SAMPLES,
+        method: str = "fft",
+    ) -> list["TwoToneDF"]:
+        """One DF per entry of ``v_is``, with their surfaces built together.
 
-        The batch sweep engine characterises whole ``V_i`` grids in one
-        stacked FFT pass (:func:`two_tone_surfaces_stacked`) and hands
-        each per-``v_i`` surface to the solver through this hook; a
-        subsequent :meth:`surface`/:meth:`characterize` call on the same
-        amplitude grid then skips both the disk lookup and the build.
-        Surfaces are validated against this instance's injection setup —
-        adopting a foreign surface would silently poison every downstream
-        number.
-
-        ``amplitudes`` overrides the memo key's grid — needed for
-        non-converged marker surfaces, which carry only their 5-amplitude
-        probe subset but stand in for the full requested grid (exactly as
-        :meth:`surface` memoises them).
+        For ``method="fft"`` the whole ``v_is`` list goes through a single
+        :func:`precharacterize` call (one stacked build of the store's
+        misses), and each DF's surface memo is seeded under the
+        ``amplitudes`` grid, exactly as :meth:`surface` would seed it — so
+        every DF holds only the surface built for its own setup.
         """
-        if not isinstance(surface, TwoToneSurface):
-            raise TypeError(f"expected a TwoToneSurface, got {type(surface).__name__}")
-        if (
-            float(surface.v_i) != float(self.v_i)
-            or int(surface.n) != int(self.n)
-            or int(surface.n_samples) != int(self.n_samples)
-        ):
-            raise ValueError(
-                "surface (v_i, n, n_samples) = "
-                f"({surface.v_i}, {surface.n}, {surface.n_samples}) does not "
-                f"match this DF ({self.v_i}, {self.n}, {self.n_samples})"
-            )
-        grid = surface.amplitudes if amplitudes is None else (
-            np.asarray(amplitudes, dtype=float)
-        )
-        self._surface_memo[array_hash(grid)] = surface
+        dfs = [
+            cls(nonlinearity, v_i, n, n_samples=n_samples, method=method)
+            for v_i in v_is
+        ]
+        if method == "fft":
+            amplitudes = np.asarray(amplitudes, dtype=float)
+            memo_key = array_hash(amplitudes)
+            surfaces = precharacterize(nonlinearity, amplitudes, v_is, n, n_samples)
+            for df, surface in zip(dfs, surfaces):
+                df._surface_memo[memo_key] = surface
+        return dfs
 
     def _dense_i1_grid(self, amplitudes: np.ndarray, phis: np.ndarray) -> np.ndarray:
         """Dense-quadrature ``I_1`` on the full grid, through the store.
@@ -952,7 +929,6 @@ class TwoToneDF:
         amplitudes: np.ndarray,
         phis: np.ndarray,
         tank_r: float,
-        method: str | None = None,
     ) -> Grid2D:
         """Sample the surfaces the graphical procedure draws.
 
@@ -966,15 +942,12 @@ class TwoToneDF:
 
         Grids are cached by content hashes of the full grid arrays (not
         their endpoints — two differently spaced grids with identical
-        endpoints are different grids) plus ``(R, method)``.
+        endpoints are different grids) plus ``R``.
         """
         amplitudes = np.asarray(amplitudes, dtype=float)
         phis = np.asarray(phis, dtype=float)
         check_positive("tank_r", tank_r)
-        method = self.method if method is None else method
-        if method not in ("fft", "dense"):
-            raise ValueError(f"method must be 'fft' or 'dense', got {method!r}")
-        key = (array_hash(amplitudes), array_hash(phis), float(tank_r), method)
+        key = (array_hash(amplitudes), array_hash(phis), float(tank_r))
         cached = self._grid_cache.get(key)
         if cached is not None:
             return cached
@@ -982,7 +955,7 @@ class TwoToneDF:
             raise ValueError("amplitude grid must be strictly positive")
         with trace("characterize"):
             # meshgrid convention: rows vary A, columns vary phi.
-            if method == "fft":
+            if self.method == "fft":
                 surface = self.surface(amplitudes)
                 if surface.converged:
                     i1 = surface.i1_grid(phis)
@@ -1005,7 +978,7 @@ class TwoToneDF:
                 "I_1(A, phi) pre-characterisation grid",
                 i1,
                 stage="pre-characterisation",
-                context={"method": method},
+                context={"method": self.method},
             )
             grid = Grid2D(x=phis, y=amplitudes)
             grid.add_surface("i1x", np.real(i1))
@@ -1016,17 +989,12 @@ class TwoToneDF:
         self._grid_cache[key] = grid
         return grid
 
-    def i1_evaluator(
-        self,
-        amplitudes: np.ndarray,
-        phis: np.ndarray,
-        method: str | None = None,
-    ):
+    def i1_evaluator(self, amplitudes: np.ndarray, phis: np.ndarray):
         """A fast vectorised ``I_1(A, phi)`` evaluator for the solver loops.
 
         Returns a callable ``(amplitude, phi) -> complex ndarray`` (numpy
-        broadcasting).  With ``method="dense"`` this is the exact
-        quadrature (:meth:`i1` — the referee solver path).  With
+        broadcasting).  For a ``method="dense"`` DF this is the exact
+        quadrature (:meth:`i1` — the referee solver path).  For
         ``method="fft"`` it evaluates the pre-characterised surface with
         *zero* nonlinearity calls: a coefficient spline for converged
         surfaces, or a bicubic spline over the (cached) dense grid when the
@@ -1034,10 +1002,7 @@ class TwoToneDF:
         smooth in both arguments, which the bisection/Newton/golden-section
         refinements in :mod:`repro.core.lockrange` rely on.
         """
-        method = self.method if method is None else method
-        if method not in ("fft", "dense"):
-            raise ValueError(f"method must be 'fft' or 'dense', got {method!r}")
-        if method == "dense":
+        if self.method == "dense":
             return self.i1
         amplitudes = np.asarray(amplitudes, dtype=float)
         phis = np.asarray(phis, dtype=float)

@@ -10,7 +10,7 @@ import numpy as np
 from repro.baselines import adler_shil_lock_range, compute_ppv, ppv_lock_range
 from repro.core import predict_lock_range
 from repro.core.lockrange import lock_range_by_frequency_scan
-from repro.core.natural import predict_natural_oscillation
+from repro.core.natural import lock_grid
 from repro.core.two_tone import TwoToneDF
 from repro.experiments.circuits import (
     diffpair_oscillator,
@@ -28,15 +28,6 @@ __all__ = [
     "run_ablation_baselines",
     "run_ablation_filtering",
 ]
-
-
-def _lockrange_grids(setup) -> tuple[np.ndarray, np.ndarray]:
-    """The exact ``(A, phi)`` grids ``predict_lock_range`` characterises."""
-    natural = predict_natural_oscillation(setup.nonlinearity, setup.tank)
-    amplitudes = np.linspace(0.3 * natural.amplitude, 1.4 * natural.amplitude, 121)
-    half_cell = np.pi / 240.0
-    phis = np.linspace(half_cell, 2.0 * np.pi + half_cell, 241)
-    return amplitudes, phis
 
 
 def _no_cache_env():
@@ -73,8 +64,9 @@ def compare_methods(setup) -> dict:
         t0 = time.perf_counter()
         dense = predict_lock_range(nonlinearity, tank, v_i=v_i, n=n, method="dense")
         t_dense = time.perf_counter() - t0
-        # Max I_1 deviation over the exact grids the predictor consumed.
-        amplitudes, phis = _lockrange_grids(setup)
+        # Max I_1 deviation over the exact grids the predictor consumed
+        # (at its default resolution).
+        _, amplitudes, phis = lock_grid(nonlinearity, tank, n_a=121, n_phi=241)
         tank_r = tank.peak_resistance
         g_fft = TwoToneDF(nonlinearity, v_i, n, method="fft").characterize(
             amplitudes, phis, tank_r
@@ -95,7 +87,6 @@ def compare_methods(setup) -> dict:
 
     # Prime the disk cache, then time a fresh characterisation that can
     # only hit it (new TwoToneDF instance -> empty in-memory memo).
-    amplitudes, phis = _lockrange_grids(setup)
     TwoToneDF(nonlinearity, v_i, n).characterize(amplitudes, phis, tank.peak_resistance)
     t0 = time.perf_counter()
     TwoToneDF(nonlinearity, v_i, n).characterize(amplitudes, phis, tank.peak_resistance)

@@ -446,12 +446,25 @@ def hb_lock_policy() -> EscalationPolicy:
 # -- stage wrappers -----------------------------------------------------------
 
 
-def _widened_window(nonlinearity, tank, scale: float, n_samples: int):
-    """The default amplitude window, stretched by ``scale`` on both sides."""
-    from repro.core.natural import predict_natural_oscillation
+def _widened(nonlinearity, tank, kwargs: dict, overrides: dict) -> dict:
+    """``kwargs`` under one rung's ``overrides``, its ``_widen_window``
+    factor replaced by the default window widened by that factor
+    (:func:`~repro.core.natural.lock_grid`) unless the caller fixed the
+    window.  Widening rungs also set ``n_a`` and ``n_phi``."""
+    from repro.core.natural import lock_grid
 
-    natural = predict_natural_oscillation(nonlinearity, tank, n_samples=n_samples)
-    return (0.3 * natural.amplitude / scale, 1.4 * natural.amplitude * scale)
+    merged = {**kwargs, **overrides}
+    scale = merged.pop("_widen_window", None)
+    if scale is not None and "amplitude_window" not in kwargs:
+        merged["amplitude_window"], _, _ = lock_grid(
+            nonlinearity,
+            tank,
+            n_a=merged["n_a"],
+            n_phi=merged["n_phi"],
+            n_samples=int(kwargs.get("n_samples", 0)) or 256,
+            widen=scale,
+        )
+    return merged
 
 
 def robust_natural(
@@ -486,17 +499,9 @@ def robust_solve_lock_states(
 
     guard_tank(tank, stage="lock-states")
     policy = policy or lock_state_policy()
-    n_samples = int(kwargs.get("n_samples", 0)) or None
 
     def attempt(overrides: dict):
-        merged = {**kwargs, **overrides}
-        scale = merged.pop("_widen_window", None)
-        if scale is not None and "amplitude_window" not in kwargs:
-            merged["amplitude_window"] = _widened_window(
-                nonlinearity, tank, scale, n_samples or 256
-            )
-        else:
-            merged.pop("_widen_window", None)
+        merged = _widened(nonlinearity, tank, kwargs, overrides)
         return solve_lock_states(
             nonlinearity, tank, v_i=v_i, w_injection=w_injection, n=n, **merged
         )
@@ -518,17 +523,9 @@ def robust_predict_lock_range(
 
     guard_tank(tank, stage="lock-range")
     policy = policy or lock_range_policy()
-    n_samples = int(kwargs.get("n_samples", 0)) or None
 
     def attempt(overrides: dict):
-        merged = {**kwargs, **overrides}
-        scale = merged.pop("_widen_window", None)
-        if scale is not None and "amplitude_window" not in kwargs:
-            merged["amplitude_window"] = _widened_window(
-                nonlinearity, tank, scale, n_samples or 256
-            )
-        else:
-            merged.pop("_widen_window", None)
+        merged = _widened(nonlinearity, tank, kwargs, overrides)
         return predict_lock_range(nonlinearity, tank, v_i=v_i, n=n, **merged)
 
     return run_ladder(policy, attempt, deadline=deadline)

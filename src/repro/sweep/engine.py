@@ -4,7 +4,8 @@ Execution model (one pass per :class:`~repro.sweep.plan.SweepGroup`):
 
 1. materialise the oscillator once and solve its natural oscillation —
    every member point shares the amplitude window;
-2. pre-characterise the group's whole ``V_i`` grid through
+2. build the group's DFs with :meth:`~repro.core.two_tone.TwoToneDF.batch`,
+   which pre-characterises the whole ``V_i`` grid through
    :func:`~repro.core.two_tone.precharacterize` — the path a scalar
    prediction takes too — so warm records come back from the surface
    store and the misses are built in **one** stacked FFT pass under
@@ -20,8 +21,9 @@ Execution model (one pass per :class:`~repro.sweep.plan.SweepGroup`):
 
 Every per-``V_i`` solve goes through the *unmodified*
 :func:`~repro.core.lockrange.predict_lock_range` with the group's shared
-window and an adopted surface.  Since the surface comes from the same
-builder and store a scalar call uses, batched results are **bitwise
+window (:func:`~repro.core.natural.lock_grid`, the rule a scalar call
+applies) and its ``V_i``'s DF.  Since each DF's surface comes from the
+same builder and store a scalar call uses, batched results are **bitwise
 identical** to the scalar path.
 
 :func:`run_sweep_pointwise` is the honest scalar baseline: the naive
@@ -34,11 +36,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.lockrange import LockRange, NoLockError, predict_lock_range
-from repro.core.natural import predict_natural_oscillation
-from repro.core.two_tone import TwoToneDF, TwoToneSurface, precharacterize
+from repro.core.natural import lock_grid
+from repro.core.two_tone import TwoToneDF
 from repro.obs import metrics, trace
 from repro.perf.sharded_cache import ShardedSurfaceCache, default_store, using_store
 from repro.robust.ladder import _recoverable_exceptions, robust_predict_lock_range
@@ -222,39 +222,24 @@ def run_sweep(
                 },
             ) as group_sp:
                 nonlinearity, tank = _materialise(group)
-                natural = predict_natural_oscillation(
-                    nonlinearity, tank, n_samples=spec.n_samples
+                window, amplitudes, _ = lock_grid(
+                    nonlinearity,
+                    tank,
+                    n_a=spec.n_a,
+                    n_phi=spec.n_phi,
+                    n_samples=spec.n_samples,
                 )
-                window = (0.3 * natural.amplitude, 1.4 * natural.amplitude)
-                amplitudes = np.linspace(window[0], window[1], spec.n_a)
-
-                surfaces: dict[float, TwoToneSurface] = {}
-                if spec.method == "fft":
-                    surfaces = dict(
-                        zip(
-                            group.v_is,
-                            precharacterize(
-                                nonlinearity,
-                                amplitudes,
-                                group.v_is,
-                                group.n,
-                                spec.n_samples,
-                            ),
-                        )
-                    )
+                dfs = TwoToneDF.batch(
+                    nonlinearity,
+                    group.v_is,
+                    group.n,
+                    amplitudes,
+                    n_samples=spec.n_samples,
+                    method=spec.method,
+                )
 
                 solves: dict[float, tuple] = {}
-                for v_i in group.v_is:
-                    df = TwoToneDF(
-                        nonlinearity,
-                        v_i,
-                        group.n,
-                        n_samples=spec.n_samples,
-                        method=spec.method,
-                    )
-                    surface = surfaces.get(v_i)
-                    if surface is not None:
-                        df.adopt_surface(surface, amplitudes)
+                for v_i, df in zip(group.v_is, dfs):
                     probe = SweepPoint(
                         family=group.family,
                         n=group.n,

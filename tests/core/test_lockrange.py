@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import predict_lock_range, solve_lock_states
+from repro.core import TwoToneDF, predict_lock_range, solve_lock_states
+from repro.core.isolines import build_isoline_picture
 from repro.core.lockrange import NoLockError, lock_range_by_frequency_scan
 from repro.nonlin import NegativeTanh
 from repro.tank import ParallelRLC
@@ -114,6 +115,34 @@ class TestPredictLockRange:
         tanh, tank = setup
         fhil = predict_lock_range(tanh, tank, v_i=0.03, n=1)
         assert fhil.injection_lower < tank.center_frequency < fhil.injection_upper
+
+    @pytest.mark.parametrize(
+        "field, value", [("v_i", 0.04), ("n", 2), ("n_samples", 512), ("method", "dense")]
+    )
+    def test_mismatched_df_is_rejected_naming_the_field(self, setup, field, value):
+        tanh, tank = setup
+        requested = dict(v_i=0.03, n=3, n_samples=256, method="fft")
+        df = TwoToneDF(tanh, **{**requested, field: value})
+        with pytest.raises(ValueError, match=rf"solve: {field}={value!r} != "):
+            predict_lock_range(
+                tanh, tank, amplitude_window=(0.4, 1.6), df=df, **requested
+            )
+
+
+@pytest.mark.parametrize(
+    "entry, extra",
+    [
+        (predict_lock_range, {}),
+        (build_isoline_picture, {}),
+        (solve_lock_states, {"w_injection": 3.0e6}),
+    ],
+    ids=["predict_lock_range", "build_isoline_picture", "solve_lock_states"],
+)
+def test_inverted_amplitude_window_is_rejected(setup, entry, extra):
+    # Every solver reads its grid from one rule, which checks the window.
+    tanh, tank = setup
+    with pytest.raises(ValueError, match="A_max > A_min"):
+        entry(tanh, tank, v_i=0.03, n=3, amplitude_window=(1.6, 0.4), **extra)
 
 
 class TestFrequencyScanParity:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.natural import (
     NoOscillationError,
     find_all_amplitudes,
+    lock_grid,
     predict_natural_oscillation,
 )
 from repro.nonlin import (
@@ -118,3 +119,18 @@ class TestFindAllAmplitudes:
         solutions = find_all_amplitudes(tanh_nonlinearity, 1000.0, a_max=0.5)
         # Natural amplitude ~1.2 V is outside a 0.5 V window.
         assert solutions == []
+
+
+class TestLockGrid:
+    def test_default_window_and_half_cell_phi_grid(self, tank, tanh_nonlinearity):
+        a_nat = predict_natural_oscillation(tanh_nonlinearity, tank).amplitude
+        window, amplitudes, phis = lock_grid(tanh_nonlinearity, tank, n_a=5, n_phi=9)
+        assert window == (0.3 * a_nat, 1.4 * a_nat)
+        assert np.array_equal(amplitudes, np.linspace(*window, 5))
+        assert phis[0] == pytest.approx(np.pi / 8)
+        assert phis[-1] - phis[0] == pytest.approx(2.0 * np.pi)
+
+    def test_widen_stretches_both_sides(self, tank, tanh_nonlinearity):
+        a_nat = predict_natural_oscillation(tanh_nonlinearity, tank).amplitude
+        window, _, _ = lock_grid(tanh_nonlinearity, tank, n_a=5, n_phi=9, widen=1.6)
+        assert window == (0.3 * a_nat / 1.6, 1.4 * a_nat * 1.6)

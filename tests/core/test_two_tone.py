@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.describing_function import fundamental_coefficient
 from repro.core.two_tone import TwoToneDF, two_tone_fundamental
 from repro.nonlin import CubicNonlinearity, NegativeTanh
+from repro.verify.scenarios import FAMILIES
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,18 @@ class TestTwoToneFundamental:
         base = complex(two_tone_fundamental(tanh, np.asarray(amp), 0.0, np.asarray(phi), 3))
         pert = complex(two_tone_fundamental(tanh, np.asarray(amp), v_i, np.asarray(phi), 3))
         assert abs(pert - base) <= 2.0 * v_i * 2.5e-3 + 1e-12
+
+    @pytest.mark.parametrize("family", ["tanh", "diffpair"])
+    def test_is_the_df_quadrature_bitwise(self, family):
+        # One dense quadrature: the function and TwoToneDF.i1 give the
+        # same bits, so the dense characterisation and the pointwise
+        # solver paths can never drift apart.
+        nonlinearity, _ = FAMILIES[family]()
+        amps = np.linspace(0.15, 1.5, 11)[:, None]
+        phis = np.linspace(0.01, 6.3, 13)[None, :]
+        expected = TwoToneDF(nonlinearity, 0.03, 3).i1(amps, phis)
+        got = two_tone_fundamental(nonlinearity, amps, 0.03, phis, 3)
+        assert np.array_equal(got, expected)
 
 
 class TestTwoToneDF:

@@ -176,3 +176,22 @@ class TestEvaluator:
         got = evaluate(a, p)
         want = df.i1(a, p)
         assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+class TestBatch:
+    def test_each_df_holds_its_own_surface(self, tanh_nonlinearity, monkeypatch):
+        amplitudes = np.linspace(0.4, 1.7, 16)
+        v_is = [0.01, 0.03]
+        dfs = TwoToneDF.batch(
+            tanh_nonlinearity, v_is, 3, amplitudes, n_samples=N_SAMPLES
+        )
+        alone = [
+            TwoToneDF(tanh_nonlinearity, v_i, 3, n_samples=N_SAMPLES).surface(amplitudes)
+            for v_i in v_is
+        ]
+        # The batch seeded every memo: no further lookup or build happens.
+        monkeypatch.setattr("repro.core.two_tone.precharacterize", None)
+        for df, v_i, reference in zip(dfs, v_is, alone):
+            surface = df.surface(amplitudes)
+            assert surface.v_i == df.v_i == v_i
+            assert np.array_equal(surface.coefficients, reference.coefficients)

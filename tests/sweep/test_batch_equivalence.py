@@ -1,10 +1,11 @@
 """Batched sweep == scalar path, bit for bit and by property.
 
 The engine's whole design rides on one claim: routing a group's points
-through the shared amplitude window and an adopted stacked surface does
-not change a single bit of ``predict_lock_range``'s answer.  These tests
-pin that claim directly against the scalar entry point (not against
-``run_sweep_pointwise``, which shares engine code).
+through the shared amplitude window and DFs whose surfaces were built in
+one stacked pass (``TwoToneDF.batch``) does not change a single bit of
+``predict_lock_range``'s answer.  These tests pin that claim directly
+against the scalar entry point (not against ``run_sweep_pointwise``,
+which shares engine code).
 """
 
 import pytest
