@@ -1,10 +1,10 @@
 """FIG12 bench: diff-pair f(v) extraction + natural-amplitude prediction."""
 
-from repro.experiments.section4_diffpair import run_fig12
+from repro.experiments import run_experiment
 
 
 def test_fig12_diffpair_fv(benchmark, save_report):
-    result = benchmark.pedantic(run_fig12, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_experiment, args=("FIG12",), rounds=1, iterations=1)
     save_report(result)
     # Paper Fig. 12b: A = 0.505 V at 0.5033 MHz.
     predicted = float(result.value("predicted natural amplitude A (V)"))

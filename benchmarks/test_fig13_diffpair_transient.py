@@ -1,10 +1,10 @@
 """FIG13 bench: transient simulation validating the diff-pair amplitude."""
 
-from repro.experiments.section4_diffpair import run_fig13
+from repro.experiments import run_experiment
 
 
 def test_fig13_diffpair_transient(benchmark, save_report):
-    result = benchmark.pedantic(run_fig13, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_experiment, args=("FIG13",), rounds=1, iterations=1)
     save_report(result)
     # Fig. 13: settled sinusoidal oscillation at the predicted amplitude.
     assert float(result.value("relative error")) < 2e-3

@@ -1,10 +1,10 @@
 """FIG14 bench: predicted 3rd-SHIL lock range of the diff-pair."""
 
-from repro.experiments.section4_diffpair import run_fig14
+from repro.experiments import run_experiment
 
 
 def test_fig14_diffpair_lockrange(benchmark, save_report):
-    result = benchmark.pedantic(run_fig14, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_experiment, args=("FIG14",), rounds=1, iterations=1)
     save_report(result)
     # Paper Table 1 prediction: [1.501065, 1.518735] MHz.
     lower = float(result.value("lower lock limit (MHz)"))

@@ -1,10 +1,10 @@
 """FIG15 bench: the three SHIL states of the diff-pair via pulse kicks."""
 
-from repro.experiments.section4_diffpair import run_fig15
+from repro.experiments import run_experiment
 
 
 def test_fig15_diffpair_states(benchmark, save_report):
-    result = benchmark.pedantic(run_fig15, kwargs={"quick": True}, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_experiment, args=("FIG15",), kwargs={"quick": True}, rounds=1, iterations=1)
     save_report(result)
     experiment = result.data["experiment"]
     # Fig. 15: every segment re-locks onto one of the n = 3 theoretical

@@ -1,10 +1,10 @@
 """FIG16 bench: tunnel diode f(v) + natural-amplitude prediction."""
 
-from repro.experiments.section4_tunnel import run_fig16
+from repro.experiments import run_experiment
 
 
 def test_fig16_tunnel_fv(benchmark, save_report):
-    result = benchmark.pedantic(run_fig16, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_experiment, args=("FIG16",), rounds=1, iterations=1)
     save_report(result)
     # Paper Fig. 16c: A = 0.199 V at 0.5033 GHz, bias inside the NDR.
     assert abs(float(result.value("predicted natural amplitude A (V)")) - 0.199) < 2e-3

@@ -1,10 +1,10 @@
 """FIG18 bench: predicted 3rd-SHIL lock range of the tunnel diode oscillator."""
 
-from repro.experiments.section4_tunnel import run_fig18
+from repro.experiments import run_experiment
 
 
 def test_fig18_tunnel_lockrange(benchmark, save_report):
-    result = benchmark.pedantic(run_fig18, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_experiment, args=("FIG18",), rounds=1, iterations=1)
     save_report(result)
     # Paper Table 2 prediction: [1.507320, 1.512429] GHz.
     lower = float(result.value("lower lock limit (GHz)"))

@@ -1,10 +1,10 @@
 """FIG19 bench: the three SHIL states of the tunnel diode oscillator."""
 
-from repro.experiments.section4_tunnel import run_fig19
+from repro.experiments import run_experiment
 
 
 def test_fig19_tunnel_states(benchmark, save_report):
-    result = benchmark.pedantic(run_fig19, kwargs={"quick": True}, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_experiment, args=("FIG19",), kwargs={"quick": True}, rounds=1, iterations=1)
     save_report(result)
     experiment = result.data["experiment"]
     assert all(seg.locked for seg in experiment.segments)

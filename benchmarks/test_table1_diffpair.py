@@ -11,11 +11,11 @@ on both edges, the widths match within a few percent, and the predictor
 is 1-2 orders of magnitude faster.
 """
 
-from repro.experiments.section4_diffpair import run_table1
+from repro.experiments import run_experiment
 
 
 def test_table1_diffpair(benchmark, save_report):
-    result = benchmark.pedantic(run_table1, kwargs={"quick": True}, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_experiment, args=("TAB1",), kwargs={"quick": True}, rounds=1, iterations=1)
     save_report(result)
     assert float(result.value("lower-limit relative error")) < 2e-3
     assert float(result.value("upper-limit relative error")) < 2e-3

@@ -7,11 +7,11 @@ Regenerates the paper's second table:
     | Prediction | 1.507320 GHz     | 1.512429 GHz     | 0.005109 GHz  |
 """
 
-from repro.experiments.section4_tunnel import run_table2
+from repro.experiments import run_experiment
 
 
 def test_table2_tunnel(benchmark, save_report):
-    result = benchmark.pedantic(run_table2, kwargs={"quick": True}, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_experiment, args=("TAB2",), kwargs={"quick": True}, rounds=1, iterations=1)
     save_report(result)
     assert float(result.value("lower-limit relative error")) < 2e-3
     assert float(result.value("upper-limit relative error")) < 2e-3

@@ -17,8 +17,7 @@ from repro.core import (
     predict_natural_oscillation,
     solve_lock_states,
 )
-from repro.experiments.circuits import tunnel_oscillator
-from repro.experiments.section4_tunnel import tunnel_law
+from repro.experiments.circuits import tunnel_law, tunnel_oscillator
 from repro.measure import run_states_experiment
 from repro.nonlin import TunnelDiode
 

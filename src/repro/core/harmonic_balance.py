@@ -155,6 +155,82 @@ def _unpack(x: np.ndarray, k_max: int, with_w: bool):
     return v, w
 
 
+def _newton(
+    residual, x: np.ndarray, *, floor, cap: float | None, capped: slice,
+    tol: float, max_iter: int, kind: str, sp,
+) -> tuple[np.ndarray, int, float]:
+    """Damped Newton on ``residual(x) = 0`` with a forward-difference
+    Jacobian; returns ``(x, iterations, residual_norm)``.
+
+    ``floor(x)`` gives each column's lower bound on the difference step
+    ``1e-7 * max(|x_j|, floor_j)``.  When ``cap`` is set, a step whose
+    ``capped`` block is longer than ``cap`` has that block scaled down to
+    it.  ``kind`` labels the ``hb.*`` metrics; ``sp`` is the enclosing
+    span.
+    """
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        r = residual(x)
+        guard_finite(
+            "harmonic-balance residual", r, stage="harmonic-balance", recoverable=True
+        )
+        # Numerical Jacobian — the systems are small (2K or 2K+1).
+        h_floor = floor(x)
+        jac = np.empty((x.size, x.size))
+        for j in range(x.size):
+            h = 1e-7 * max(abs(x[j]), h_floor[j])
+            e = np.zeros(x.size)
+            e[j] = h
+            jac[:, j] = (residual(x + e) - r) / h
+        guard_finite(
+            "harmonic-balance Jacobian", jac, stage="harmonic-balance", recoverable=True
+        )
+        try:
+            dx = _solve_linear(jac, -r)
+        except np.linalg.LinAlgError as exc:
+            # Record the precise cause before wrapping it in the coarser
+            # convergence error (only the wrapper type reaches callers).
+            record_fault(
+                SolveFault("singular-jacobian", "harmonic-balance", str(exc))
+            )
+            sp.set(iterations=iterations, residual_norm=float(np.linalg.norm(r)))
+            metrics.inc("hb.failures", cause="singular-jacobian", kind=kind)
+            raise HbConvergenceError("singular harmonic-balance Jacobian") from exc
+        damped = False
+        if cap is not None:
+            step = float(np.linalg.norm(dx[capped]))
+            if step > cap:
+                dx = dx.copy()
+                dx[capped] *= cap / step
+                damped = True
+        x = x + dx
+        if sp.recording:
+            convergence_event(
+                "hb-newton",
+                iteration=iterations,
+                residual=float(np.linalg.norm(r)),
+                step=float(np.linalg.norm(dx)),
+                damped=damped,
+            )
+        if np.linalg.norm(dx) < tol * np.linalg.norm(x):
+            break
+    else:
+        sp.set(
+            iterations=iterations,
+            residual_norm=float(np.linalg.norm(residual(x))),
+        )
+        metrics.inc("hb.failures", cause="max-iterations", kind=kind)
+        raise HbConvergenceError(
+            f"harmonic balance did not converge in {max_iter} iterations"
+        )
+    residual_norm = float(np.linalg.norm(residual(x)))
+    sp.set(iterations=iterations, residual_norm=residual_norm)
+    metrics.inc("hb.solves", kind=kind)
+    metrics.observe("hb.iterations", iterations, kind=kind)
+    metrics.observe("hb.residual_norm", residual_norm, kind=kind)
+    return x, iterations, residual_norm
+
+
 def hb_natural_oscillation(
     nonlinearity: Nonlinearity,
     tank: Tank,
@@ -212,87 +288,18 @@ def hb_natural_oscillation(
             # Phase pinning: the fundamental is real.
             return np.concatenate([np.real(kcl), np.imag(kcl), [np.imag(v[0])]])
 
-        iterations = 0
-        for iterations in range(1, max_iter + 1):
-            r = residual(x)
-            guard_finite(
-                "harmonic-balance residual",
-                r,
-                stage="harmonic-balance",
-                recoverable=True,
-            )
-            # Numerical Jacobian — the system is small (2K+1).
-            jac = np.empty((x.size, x.size))
-            for j in range(x.size):
-                h = 1e-7 * max(abs(x[j]), scale if j < 2 * k_max else x[-1] * 1e-6)
-                e = np.zeros(x.size)
-                e[j] = h
-                jac[:, j] = (residual(x + e) - r) / h
-            guard_finite(
-                "harmonic-balance Jacobian",
-                jac,
-                stage="harmonic-balance",
-                recoverable=True,
-            )
-            try:
-                dx = _solve_linear(jac, -r)
-            except np.linalg.LinAlgError as exc:
-                # Record the precise cause before wrapping it in the coarser
-                # convergence error (only the wrapper type reaches callers).
-                record_fault(
-                    SolveFault("singular-jacobian", "harmonic-balance", str(exc))
-                )
-                sp.set(
-                    iterations=iterations,
-                    residual_norm=float(np.linalg.norm(r)),
-                )
-                metrics.inc("hb.failures", cause="singular-jacobian", kind="natural")
-                raise HbConvergenceError(
-                    "singular harmonic-balance Jacobian"
-                ) from exc
-            damped = False
-            if max_step_rel is not None:
-                # Damp the voltage block only: the frequency unknown lives on
-                # a ~1e6 rad/s scale and an amplitude-scaled cap would freeze
-                # it.
-                step = float(np.linalg.norm(dx[: 2 * k_max]))
-                cap = max_step_rel * scale
-                if step > cap:
-                    dx = dx.copy()
-                    dx[: 2 * k_max] *= cap / step
-                    damped = True
-            x = x + dx
-            if sp.recording:
-                convergence_event(
-                    "hb-newton",
-                    iteration=iterations,
-                    residual=float(np.linalg.norm(r)),
-                    step=float(np.linalg.norm(dx)),
-                    damped=damped,
-                )
-            if np.linalg.norm(dx) < tol * np.linalg.norm(x):
-                break
-        else:
-            sp.set(
-                iterations=iterations,
-                residual_norm=float(np.linalg.norm(residual(x))),
-            )
-            metrics.inc("hb.failures", cause="max-iterations", kind="natural")
-            raise HbConvergenceError(
-                f"harmonic balance did not converge in {max_iter} iterations"
-            )
-        v, w = _unpack(x, k_max, with_w=True)
-        residual_norm = float(np.linalg.norm(residual(x)))
-        sp.set(iterations=iterations, residual_norm=residual_norm)
-        metrics.inc("hb.solves", kind="natural")
-        metrics.observe("hb.iterations", iterations, kind="natural")
-        metrics.observe("hb.residual_norm", residual_norm, kind="natural")
-        return HbSolution(
-            w=w,
-            harmonics=v,
-            residual_norm=residual_norm,
-            iterations=iterations,
+        # Damp the voltage block only: the frequency unknown lives on a
+        # ~1e6 rad/s scale and an amplitude-scaled cap would freeze it.
+        x, iterations, residual_norm = _newton(
+            residual,
+            x,
+            floor=lambda x: np.append(np.full(2 * k_max, scale), x[-1] * 1e-6),
+            cap=None if max_step_rel is None else max_step_rel * scale,
+            capped=slice(0, 2 * k_max),
+            tol=tol, max_iter=max_iter, kind="natural", sp=sp,
         )
+        v, w = _unpack(x, k_max, with_w=True)
+        return HbSolution(w, v, residual_norm, iterations)
 
 
 def hb_lock_state(
@@ -406,76 +413,15 @@ def hb_lock_state(
             kcl = y * v + i_h
             return np.concatenate([np.real(kcl), np.imag(kcl)])
 
-        step_cap = (0.5 if max_step_rel is None else max_step_rel) * scale
-        iterations = 0
-        for iterations in range(1, max_iter + 1):
-            r = residual(x)
-            guard_finite(
-                "harmonic-balance residual",
-                r,
-                stage="harmonic-balance",
-                recoverable=True,
-            )
-            jac = np.empty((x.size, x.size))
-            for j in range(x.size):
-                h = 1e-7 * max(abs(x[j]), scale)
-                e = np.zeros(x.size)
-                e[j] = h
-                jac[:, j] = (residual(x + e) - r) / h
-            guard_finite(
-                "harmonic-balance Jacobian",
-                jac,
-                stage="harmonic-balance",
-                recoverable=True,
-            )
-            try:
-                dx = _solve_linear(jac, -r)
-            except np.linalg.LinAlgError as exc:
-                record_fault(
-                    SolveFault("singular-jacobian", "harmonic-balance", str(exc))
-                )
-                sp.set(
-                    iterations=iterations,
-                    residual_norm=float(np.linalg.norm(r)),
-                )
-                metrics.inc("hb.failures", cause="singular-jacobian", kind="lock")
-                raise HbConvergenceError(
-                    "singular harmonic-balance Jacobian"
-                ) from exc
-            # Keep the iterate from jumping to a different lock state.
-            step = float(np.linalg.norm(dx))
-            damped = step > step_cap
-            if damped:
-                dx = dx * (step_cap / step)
-            x = x + dx
-            if sp.recording:
-                convergence_event(
-                    "hb-newton",
-                    iteration=iterations,
-                    residual=float(np.linalg.norm(r)),
-                    step=float(np.linalg.norm(dx)),
-                    damped=damped,
-                )
-            if np.linalg.norm(dx) < tol * np.linalg.norm(x):
-                break
-        else:
-            sp.set(
-                iterations=iterations,
-                residual_norm=float(np.linalg.norm(residual(x))),
-            )
-            metrics.inc("hb.failures", cause="max-iterations", kind="lock")
-            raise HbConvergenceError(
-                f"harmonic balance did not converge in {max_iter} iterations"
-            )
-        v, __ = _unpack(x, k_max, with_w=False)
-        residual_norm = float(np.linalg.norm(residual(x)))
-        sp.set(iterations=iterations, residual_norm=residual_norm)
-        metrics.inc("hb.solves", kind="lock")
-        metrics.observe("hb.iterations", iterations, kind="lock")
-        metrics.observe("hb.residual_norm", residual_norm, kind="lock")
-        return HbSolution(
-            w=w_i,
-            harmonics=v,
-            residual_norm=residual_norm,
-            iterations=iterations,
+        # Cap the whole step so the iterate cannot jump to a different
+        # lock state.
+        x, iterations, residual_norm = _newton(
+            residual,
+            x,
+            floor=lambda x: np.full(x.size, scale),
+            cap=(0.5 if max_step_rel is None else max_step_rel) * scale,
+            capped=slice(None),
+            tol=tol, max_iter=max_iter, kind="lock", sp=sp,
         )
+        v, __ = _unpack(x, k_max, with_w=False)
+        return HbSolution(w_i, v, residual_norm, iterations)

@@ -1,8 +1,13 @@
-"""Experiment drivers — one per paper figure/table (see DESIGN.md index).
+"""Experiment drivers for the paper's figures and tables (see DESIGN.md index).
 
-Each driver module exposes ``run(...) -> ExperimentResult``; the registry
-maps the experiment ids (``FIG3`` ... ``TAB2``, ``SPEED``, ``ABL*``) to
-those callables.  The benchmark suite is a thin timing wrapper around this
+Every driver returns an :class:`ExperimentResult`.  :mod:`.section3` holds
+one driver per Section III figure and :mod:`.extras` the benches and
+ablations.  :mod:`.section4` holds one driver per Section IV step, shared
+by the diff-pair and tunnel-diode oscillators, plus the two extraction
+figures.  The registry maps the experiment ids (``FIG3`` ... ``TAB2``,
+``SPEED``, ``ABL*``) to callables, binding each shared Section IV driver
+to its oscillator with :func:`functools.partial`; :func:`run_experiment`
+runs one by id.  The benchmark suite is a thin timing wrapper around this
 package, and the examples import the same canonical circuits from
 :mod:`repro.experiments.circuits` so everything in the repository analyses
 literally the same oscillators.

@@ -47,6 +47,8 @@ __all__ = [
     "tanh_oscillator",
     "diffpair_oscillator",
     "tunnel_oscillator",
+    "diffpair_extracted_law",
+    "tunnel_law",
     "diffpair_extraction_circuit",
     "diffpair_oscillator_circuit",
     "tunnel_extraction_circuit",
@@ -125,6 +127,21 @@ def diffpair_extracted_law():
         diffpair_extraction_circuit(), "VX", -0.8, 0.8, 161, name="diffpair-fv"
     ).shifted(0.0)
     return LinearTableNonlinearity.from_nonlinearity(table, -0.8, 0.8, 4097)
+
+
+@functools.lru_cache(maxsize=1)
+def tunnel_law():
+    """Biased tunnel-diode law as a fast linear table (cached).
+
+    Built from the analytic appendix model (which the DC-sweep extraction
+    reproduces exactly — Fig. 16 checks that), densely sampled so the
+    prediction and simulation sides of Figs. 17-19 and Table 2 share one
+    object.  :func:`tunnel_oscillator` keeps the analytic law itself.
+    """
+    from repro.nonlin.tabulated import LinearTableNonlinearity
+
+    biased = BiasedTunnelDiode(v_bias=TUNNEL_BIAS)
+    return LinearTableNonlinearity.from_nonlinearity(biased, -0.6, 0.6, 4097)
 
 
 def diffpair_oscillator() -> OscillatorSetup:

@@ -117,8 +117,13 @@ def run_speedup(quick: bool = False) -> ExperimentResult:
     transient path on the tanh demo oscillator (the circuits are
     frequency-scaled copies of each other dynamically, so the ratio is
     representative).  It also measures the FFT-factorised fast path
-    against the dense-quadrature referee on all three paper oscillators
-    (the FIG10/FIG14/FIG18 prediction paths), cold- and warm-cache.
+    against the dense-quadrature referee on all three paper oscillators,
+    cold- and warm-cache.  The FIG10 and FIG14 rows are those figures'
+    prediction paths.  The FIG18 row runs :func:`tunnel_oscillator`'s
+    analytic law, while FIG18 and TAB2 predict on the 4097-point
+    :func:`~repro.experiments.circuits.tunnel_law` table, whose surface
+    misses the FFT convergence threshold, so those figures take the
+    dense-grid fallback.
     """
     setup = tanh_oscillator()
     t0 = time.perf_counter()

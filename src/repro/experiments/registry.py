@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.experiments.extras import (
     run_ablation_baselines,
     run_ablation_filtering,
@@ -18,19 +20,15 @@ from repro.experiments.section3 import (
     run_fig09,
     run_fig10,
 )
-from repro.experiments.section4_diffpair import (
+from repro.experiments.section4 import (
+    DIFFPAIR,
+    TUNNEL,
     run_fig12,
-    run_fig13,
-    run_fig14,
-    run_fig15,
-    run_table1,
-)
-from repro.experiments.section4_tunnel import (
     run_fig16,
-    run_fig17,
-    run_fig18,
-    run_fig19,
-    run_table2,
+    run_lock_range,
+    run_lock_states,
+    run_lock_table,
+    run_transient,
 )
 
 __all__ = ["EXPERIMENTS", "run_experiment"]
@@ -43,15 +41,15 @@ EXPERIMENTS = {
     "FIG9": run_fig09,
     "FIG10": run_fig10,
     "FIG12": run_fig12,
-    "FIG13": run_fig13,
-    "FIG14": run_fig14,
-    "FIG15": run_fig15,
-    "TAB1": run_table1,
+    "FIG13": partial(run_transient, DIFFPAIR),
+    "FIG14": partial(run_lock_range, DIFFPAIR),
+    "FIG15": partial(run_lock_states, DIFFPAIR),
+    "TAB1": partial(run_lock_table, DIFFPAIR),
     "FIG16": run_fig16,
-    "FIG17": run_fig17,
-    "FIG18": run_fig18,
-    "FIG19": run_fig19,
-    "TAB2": run_table2,
+    "FIG17": partial(run_transient, TUNNEL),
+    "FIG18": partial(run_lock_range, TUNNEL),
+    "FIG19": partial(run_lock_states, TUNNEL),
+    "TAB2": partial(run_lock_table, TUNNEL),
     "SPEED": run_speedup,
     "TRANSIENT": run_transient_bench,
     "SWEEP": run_sweep_bench,

@@ -163,21 +163,20 @@ def evaluate_budgets(
     return verdicts
 
 
-def run_span_gate(
-    scenario_ids: tuple[str, ...] | None = None,
-    budgets: tuple[SpanBudget, ...] | None = None,
-    trace_out: str | pathlib.Path | None = None,
-) -> SpanGateResult:
-    """Replay the budget scenarios under tracing and evaluate the budgets.
+def _replay(
+    body,
+    scenario_ids: tuple[str, ...],
+    budgets: tuple[SpanBudget, ...],
+    trace_out: str | pathlib.Path | None,
+) -> tuple[SpanGateResult, list[dict]]:
+    """Run ``body()`` (truthy when the replay itself went clean) as one
+    traced replay and evaluate ``budgets`` on its telemetry deltas.
 
     When the process-wide tracer is already recording (the CLI's global
     ``--trace``), its buffer is left alone and the replay's spans are
     identified by position; otherwise tracing is enabled for the replay
-    and disabled afterwards.
+    and disabled afterwards.  Returns the result and the replay's spans.
     """
-    from repro.verify.harness import run_matrix
-
-    ids = tuple(scenario_ids) if scenario_ids else BUDGET_SCENARIOS
     owned_tracer = not tracer.recording
     if owned_tracer:
         tracer.enable()
@@ -198,7 +197,7 @@ def run_span_gate(
             # self-contained trees (the written trace must validate on its
             # own, without the caller's unfinished parents).
             with tracer.detached():
-                report = run_matrix("quick", scenario_ids=ids)
+                replay_ok = bool(body())
     finally:
         for key, value in saved.items():
             if value is None:
@@ -210,8 +209,8 @@ def run_span_gate(
     snap_after = metrics.snapshot()
     replay_spans = tracer.records()[spans_before:]
     result = SpanGateResult(
-        scenario_ids=ids,
-        replay_ok=report.ok,
+        scenario_ids=scenario_ids,
+        replay_ok=replay_ok,
         trace_spans=len(replay_spans),
         wall_s=wall,
     )
@@ -225,8 +224,24 @@ def run_span_gate(
         snap_before["histograms"], snap_after["histograms"]
     )
     span_counts = dict(Counter(span["name"] for span in replay_spans))
-    result.verdicts = evaluate_budgets(
-        counters, histogram_sums, span_counts, budgets or SPAN_BUDGETS
+    result.verdicts = evaluate_budgets(counters, histogram_sums, span_counts, budgets)
+    return result, replay_spans
+
+
+def run_span_gate(
+    scenario_ids: tuple[str, ...] | None = None,
+    budgets: tuple[SpanBudget, ...] | None = None,
+    trace_out: str | pathlib.Path | None = None,
+) -> SpanGateResult:
+    """Replay the budget scenarios under tracing and evaluate the budgets."""
+    from repro.verify.harness import run_matrix
+
+    ids = tuple(scenario_ids) if scenario_ids else BUDGET_SCENARIOS
+    result, _ = _replay(
+        lambda: run_matrix("quick", scenario_ids=ids).ok,
+        ids,
+        budgets or SPAN_BUDGETS,
+        trace_out,
     )
     return result
 
@@ -335,91 +350,52 @@ def run_serve_span_gate(
         },
     )
 
-    owned_tracer = not tracer.recording
-    if owned_tracer:
-        tracer.enable()
-    spans_before = len(tracer.records())
-    snap_before = metrics.snapshot()
-    started = time.perf_counter()
-
-    saved = {
-        key: os.environ.pop(key, None)
-        for key in ("REPRO_CACHE_DIR", "REPRO_NO_CACHE")
-    }
     replay_problems: list[str] = []
     progress_seen = 0
-    try:
-        with tempfile.TemporaryDirectory(prefix="repro-serve-gate-") as tmp:
-            os.environ["REPRO_CACHE_DIR"] = tmp
-            with tracer.detached(), ServiceThread(config) as host:
-                client = ServeClient(port=host.port, timeout_s=180.0)
-                status, lock = client.submit(lock_job, wait=True)
-                if status != 200 or lock.get("status") != "completed":
-                    replay_problems.append(
-                        f"lockrange job did not complete: {status} {lock}"
-                    )
-                status, admitted = client.submit(tongue_job)
-                if status != 202:
-                    replay_problems.append(
-                        f"tongue job not admitted: {status} {admitted}"
-                    )
-                else:
-                    job_id = admitted["job_id"]
-                    cursor = 0
-                    deadline = time.monotonic() + 150.0
-                    while time.monotonic() < deadline:
-                        status, batch = client.job_events(
-                            job_id, since=cursor, wait=True, timeout_s=5.0
-                        )
-                        if status != 200:
-                            replay_problems.append(
-                                f"events poll failed: {status} {batch}"
-                            )
-                            break
-                        cursor = batch.get("next_since", cursor)
-                        progress_seen += sum(
-                            1
-                            for event in batch.get("events", [])
-                            if event.get("type")
-                            in ("point", "rung-start", "rung-done")
-                        )
-                        if batch.get("terminal"):
-                            break
-                    else:
-                        replay_problems.append("tongue job never went terminal")
-                    _, final = client.status(job_id)
-                    if final.get("status") != "completed":
-                        replay_problems.append(
-                            f"tongue job ended {final.get('status')!r}"
-                        )
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
+
+    def replay() -> bool:
+        nonlocal progress_seen
+        with ServiceThread(config) as host:
+            client = ServeClient(port=host.port, timeout_s=180.0)
+            status, lock = client.submit(lock_job, wait=True)
+            if status != 200 or lock.get("status") != "completed":
+                replay_problems.append(
+                    f"lockrange job did not complete: {status} {lock}"
+                )
+            status, admitted = client.submit(tongue_job)
+            if status != 202:
+                replay_problems.append(f"tongue job not admitted: {status} {admitted}")
+                return False
+            job_id = admitted["job_id"]
+            cursor = 0
+            deadline = time.monotonic() + 150.0
+            while time.monotonic() < deadline:
+                status, batch = client.job_events(
+                    job_id, since=cursor, wait=True, timeout_s=5.0
+                )
+                if status != 200:
+                    replay_problems.append(f"events poll failed: {status} {batch}")
+                    break
+                cursor = batch.get("next_since", cursor)
+                progress_seen += sum(
+                    1
+                    for event in batch.get("events", [])
+                    if event.get("type") in ("point", "rung-start", "rung-done")
+                )
+                if batch.get("terminal"):
+                    break
             else:
-                os.environ[key] = value
+                replay_problems.append("tongue job never went terminal")
+            _, final = client.status(job_id)
+            if final.get("status") != "completed":
+                replay_problems.append(f"tongue job ended {final.get('status')!r}")
+        return not replay_problems
 
-    wall = time.perf_counter() - started
-    snap_after = metrics.snapshot()
-    replay_spans = tracer.records()[spans_before:]
-    result = SpanGateResult(
-        scenario_ids=("serve-lockrange", "serve-tongue-2x3"),
-        replay_ok=not replay_problems,
-        trace_spans=len(replay_spans),
-        wall_s=wall,
-    )
-    if trace_out is not None:
-        result.trace_path = str(tracer.write(trace_out))
-    if owned_tracer:
-        tracer.disable()
-
-    counters = counter_deltas(snap_before["counters"], snap_after["counters"])
-    histogram_sums = _histogram_sum_deltas(
-        snap_before["histograms"], snap_after["histograms"]
-    )
-    span_counts = dict(Counter(span["name"] for span in replay_spans))
-    result.verdicts = evaluate_budgets(
-        counters, histogram_sums, span_counts, budgets or SERVE_SPAN_BUDGETS
+    result, replay_spans = _replay(
+        replay,
+        ("serve-lockrange", "serve-tongue-2x3"),
+        budgets or SERVE_SPAN_BUDGETS,
+        trace_out,
     )
     result.verdicts.append(
         BudgetVerdict(

@@ -4,16 +4,14 @@ One connection per call, mirroring the server's ``Connection: close``
 policy.  Every response is returned as ``(status, body_dict)`` — typed
 rejections (429/503 with ``retry_after_s``) come back as data, never as
 exceptions, because backpressure is an *expected* answer the caller is
-supposed to act on.  :meth:`ServeClient.submit_and_wait` adds the polite
-client loop: honour ``Retry-After`` on rejection, resubmit, and block on
-the ``wait=1`` form once admitted.
+supposed to act on: a polite caller sleeps ``retry_after_s`` and
+resubmits.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import time
 
 __all__ = ["ServeClient", "ServeUnavailableError"]
 
@@ -135,22 +133,3 @@ class ServeClient:
 
     def report(self) -> tuple[int, dict]:
         return self.request("GET", "/v1/report")
-
-    def submit_and_wait(
-        self, job: dict, *, max_wall_s: float = 300.0, max_resubmits: int = 20
-    ) -> tuple[int, dict]:
-        """The polite loop: back off on 429/503 per ``Retry-After``, retry.
-
-        Returns the terminal ``(status, record)`` once admitted, or the
-        last rejection when the service kept shedding for ``max_wall_s``
-        / ``max_resubmits``.
-        """
-        deadline = time.monotonic() + max_wall_s
-        status, body = self.submit(job, wait=True)
-        for _ in range(max_resubmits):
-            if status not in (429, 503) or time.monotonic() >= deadline:
-                return status, body
-            pause = float(body.get("retry_after_s", 0.5) or 0.5)
-            time.sleep(min(pause, max(deadline - time.monotonic(), 0.0)))
-            status, body = self.submit(job, wait=True)
-        return status, body

@@ -395,8 +395,9 @@ async def _job_events(writer, record, query) -> int:
 async def _job_events_sse(writer, record, query) -> int:
     """Server-Sent Events stream of one job's ring, closed at terminal.
 
-    Each event goes out as ``event:``/``id:``/``data:`` frames (the seq is
-    the SSE id, so ``Last-Event-ID`` reconnects map onto ``since=``).
+    Each event goes out as ``event:``/``id:``/``data:`` frames, the ring
+    seq as the SSE id; a client resumes by passing the last id it saw as
+    ``since=`` (the ``Last-Event-ID`` header is not read).
     Idle gaps emit comment keep-alives so a dead client is detected.
     """
     ring = record.events

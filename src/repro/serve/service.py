@@ -640,9 +640,10 @@ def _coarse_lock_estimate(spec) -> dict | None:
     """
     try:
         from repro.baselines.adler import adler_shil_lock_range
-        from repro.serve.workers import _materialise, lockrange_to_dict
+        from repro.serve.workers import lockrange_to_dict
+        from repro.verify.scenarios import build_oscillator
 
-        nonlinearity, tank = _materialise(spec.family, spec.q_scale)
+        nonlinearity, tank = build_oscillator(spec.family, spec.q_scale)
         lock = adler_shil_lock_range(
             nonlinearity,
             tank,

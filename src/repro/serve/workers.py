@@ -49,16 +49,6 @@ class WorkerStallError(RuntimeError):
 # -- the code that runs inside a worker --------------------------------------
 
 
-def _materialise(family: str, q_scale: float):
-    from repro.tank import ParallelRLC
-    from repro.verify.scenarios import FAMILIES
-
-    nonlinearity, tank = FAMILIES[family]()
-    if q_scale != 1.0:
-        tank = ParallelRLC(r=tank.r * q_scale, l=tank.l, c=tank.c)
-    return nonlinearity, tank
-
-
 def lockrange_to_dict(lock) -> dict:
     """JSON form of a :class:`~repro.core.lockrange.LockRange`."""
     return {
@@ -117,6 +107,7 @@ def execute_job(payload: dict, progress=None) -> dict:
         robust_natural,
         robust_predict_lock_range,
     )
+    from repro.verify.scenarios import build_oscillator
 
     chaos = payload.get("chaos") or {}
     if chaos:
@@ -126,7 +117,7 @@ def execute_job(payload: dict, progress=None) -> dict:
     family = payload["family"]
     budget_s = payload.get("budget_s")
     deadline = time.monotonic() + float(budget_s) if budget_s else None
-    nonlinearity, tank = _materialise(family, float(payload.get("q_scale", 1.0)))
+    nonlinearity, tank = build_oscillator(family, float(payload.get("q_scale", 1.0)))
     with ladder_progress(progress):
         try:
             if kind == "lockrange":

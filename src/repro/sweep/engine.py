@@ -42,10 +42,9 @@ from repro.core.two_tone import TwoToneDF
 from repro.obs import metrics, trace
 from repro.perf.sharded_cache import ShardedSurfaceCache, default_store, using_store
 from repro.robust.ladder import _recoverable_exceptions, robust_predict_lock_range
-from repro.sweep.plan import SweepGroup, build_plan
+from repro.sweep.plan import build_plan
 from repro.sweep.spec import SweepPoint, SweepSpec
-from repro.verify.scenarios import FAMILIES
-from repro.tank import ParallelRLC
+from repro.verify.scenarios import build_oscillator
 
 __all__ = ["SweepOutcome", "SweepResult", "run_sweep", "run_sweep_pointwise"]
 
@@ -94,14 +93,6 @@ class SweepResult:
         for outcome in self.outcomes:
             tally[outcome.status] = tally.get(outcome.status, 0) + 1
         return tally
-
-
-def _materialise(group: SweepGroup):
-    """The group's oscillator (nonlinearity, tank) with its Q-scale applied."""
-    nonlinearity, tank = FAMILIES[group.family]()
-    if group.q_scale != 1.0:
-        tank = ParallelRLC(r=tank.r * group.q_scale, l=tank.l, c=tank.c)
-    return nonlinearity, tank
 
 
 def _solve_point(
@@ -221,7 +212,7 @@ def run_sweep(
                     "points": len(group.points),
                 },
             ) as group_sp:
-                nonlinearity, tank = _materialise(group)
+                nonlinearity, tank = build_oscillator(group.family, group.q_scale)
                 window, amplitudes, _ = lock_grid(
                     nonlinearity,
                     tank,
@@ -355,11 +346,7 @@ def run_sweep_pointwise(spec: SweepSpec) -> SweepResult:
         "sweep", attrs={"spec": spec.name, "points": len(spec.points), "mode": "pointwise"}
     ):
         for index, point in enumerate(spec.points):
-            nonlinearity, tank = FAMILIES[point.family]()
-            if point.q_scale != 1.0:
-                tank = ParallelRLC(
-                    r=tank.r * point.q_scale, l=tank.l, c=tank.c
-                )
+            nonlinearity, tank = build_oscillator(point.family, point.q_scale)
             lock, status, recovered_via, detail = _solve_point(
                 nonlinearity, tank, point, spec
             )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,10 +98,6 @@ class SweepSpec:
             raise ValueError(f"method must be 'fft' or 'dense', got {self.method!r}")
         if self.check_transient < 0:
             raise ValueError("check_transient must be >= 0")
-
-    def with_engine(self, engine: str | None) -> "SweepSpec":
-        """A copy of the spec with the transient engine pinned."""
-        return replace(self, engine=engine)
 
     @classmethod
     def tongue(

@@ -39,6 +39,7 @@ from repro.tank import ParallelRLC
 
 __all__ = [
     "Scenario",
+    "build_oscillator",
     "QUICK_SCENARIOS",
     "FULL_EXTRA_SCENARIOS",
     "scenario_matrix",
@@ -97,6 +98,22 @@ FAMILIES = {
 }
 
 
+def build_oscillator(
+    family: str, q_scale: float = 1.0
+) -> tuple[Nonlinearity, ParallelRLC]:
+    """The ``family`` oscillator (nonlinearity, tank), tank R scaled by
+    ``q_scale``; an unknown family raises :class:`KeyError`."""
+    if family not in FAMILIES:
+        raise KeyError(
+            f"unknown oscillator family {family!r}; "
+            f"known: {', '.join(sorted(FAMILIES))}"
+        )
+    nonlinearity, tank = FAMILIES[family]()
+    if q_scale != 1.0:
+        tank = ParallelRLC(r=tank.r * q_scale, l=tank.l, c=tank.c)
+    return nonlinearity, tank
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One point of the verification matrix.
@@ -129,15 +146,7 @@ class Scenario:
 
     def build(self) -> tuple[Nonlinearity, ParallelRLC]:
         """Materialise the oscillator (nonlinearity, tank) pair."""
-        if self.family not in FAMILIES:
-            raise KeyError(
-                f"unknown oscillator family {self.family!r}; "
-                f"known: {', '.join(sorted(FAMILIES))}"
-            )
-        nonlinearity, tank = FAMILIES[self.family]()
-        if self.q_scale != 1.0:
-            tank = ParallelRLC(r=tank.r * self.q_scale, l=tank.l, c=tank.c)
-        return nonlinearity, tank
+        return build_oscillator(self.family, self.q_scale)
 
     def describe(self) -> str:
         """One-line human-readable summary."""
