@@ -10,7 +10,8 @@ The public entry points are:
   stability classification and the ``n`` physical states of each lock.
 * :func:`repro.core.lockrange.predict_lock_range` — the Fig. 10 procedure:
   sweep the tank phase ``phi_d`` along the invariant ``T_f = 1`` curve and
-  return the frequency lock range.
+  return the frequency lock range; :func:`~repro.core.lockrange.predict_lock_ranges`
+  does so for a whole ``V_i`` set, refining every edge in lockstep.
 * :func:`repro.core.fhil.solve_fhil` — Section III-B: the classic
   fundamental-harmonic injection-locking construction, subsumed by the
   SHIL machinery at ``n = 1`` but kept for comparison.

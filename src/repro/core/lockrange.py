@@ -15,7 +15,10 @@ per frequency, walk once along ``C_{T_f,1}``:
   fold of ``phi_d`` along the curve).
 
 This finds the complete lock range in exactly one pass — "it does not
-involve many iterations ... but finds solutions in exactly one pass".  The
+involve many iterations ... but finds solutions in exactly one pass".
+:func:`predict_lock_ranges` takes that pass for a whole ``V_i`` set (a
+tongue map's rows) and refines every edge of the set in lockstep, one
+surface evaluation per iteration for all of them.  The
 naive alternative (bisection over frequency, one full lock-state solve per
 probe) is also provided for the ablation benchmark.
 """
@@ -32,16 +35,22 @@ from repro.core.describing_function import DEFAULT_SAMPLES
 from repro.core.natural import lock_grid
 from repro.core.shil import solve_lock_states
 from repro.core.stability import classify_by_jacobian
-from repro.core.two_tone import TwoToneDF
+from repro.core.two_tone import SurfaceStack, TwoToneDF
 from repro.nonlin.base import Nonlinearity
 from repro.obs import metrics, trace
 from repro.robust.diagnostics import record_fault
 from repro.robust.faults import SolveFault
 from repro.tank.base import PhaseInversionError, Tank
-from repro.utils.grids import refine_bracket
+from repro.utils.grids import brentq_lanes, refine_bracket
 from repro.utils.validation import check_positive
 
-__all__ = ["LockRangePoint", "LockRange", "predict_lock_range", "lock_range_by_frequency_scan"]
+__all__ = [
+    "LockRangePoint",
+    "LockRange",
+    "predict_lock_range",
+    "predict_lock_ranges",
+    "lock_range_by_frequency_scan",
+]
 
 #: Tank phases closer to +-pi/2 than this are outside any physical lock for
 #: the topologies considered (cos(phi_d) -> 0 starves the loop gain).
@@ -210,112 +219,107 @@ def _point_at_phi(
     )
 
 
-def _solve_amplitudes_batched(
-    evaluate,
-    tank_r: float,
-    phis: np.ndarray,
-    seeds: np.ndarray,
-    a_window: tuple[float, float],
-    *,
-    tol: float = 1e-13,
-) -> np.ndarray:
-    """Vectorised ``T_f(A, phi) = 1`` solve for many curve points at once.
+def _bracket_amplitudes(residual, seeds: np.ndarray, a_window: tuple[float, float]):
+    """Bracket ``residual(a, points) = 0`` around each seed, widening up to six times.
 
-    Mirrors :func:`_solve_amplitude_on_curve` — bracket expansion around
-    each seed followed by bisection — but runs every point of the invariant
-    curve through the (zero-nonlinearity-call) surface evaluator in lock
-    step, so the whole curve costs a few dozen small vector operations
-    instead of tens of thousands of scalar quadratures.  Unbracketable
-    points come back as NaN.
+    Returns ``(a_lo, a_hi, r_lo, r_hi)``; each widening re-evaluates only
+    the points still without a sign change (both ends in one call).
     """
-
-    def residual(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-        i1x = np.real(evaluate(a, p))
-        return -tank_r * i1x / (a / 2.0) - 1.0
-
     lo, hi = a_window
     span = 0.05 * (hi - lo)
     a_lo = np.maximum(lo, seeds - span)
     a_hi = np.minimum(hi, seeds + span)
-    r_lo = residual(a_lo, phis)
-    r_hi = residual(a_hi, phis)
+    everyone = np.arange(seeds.size)
+    r_lo, r_hi = np.split(
+        residual(np.concatenate([a_lo, a_hi]), np.concatenate([everyone, everyone])), 2
+    )
     for _ in range(6):
-        open_ = np.sign(r_lo) == np.sign(r_hi)
-        if not open_.any():
-            break
-        at_limit = open_ & (a_lo <= lo) & (a_hi >= hi)
-        grow = open_ & ~at_limit
+        grow = (np.sign(r_lo) == np.sign(r_hi)) & ~((a_lo <= lo) & (a_hi >= hi))
         if not grow.any():
             break
-        a_lo = np.where(grow, np.maximum(lo, a_lo - span), a_lo)
-        a_hi = np.where(grow, np.minimum(hi, a_hi + span), a_hi)
-        r_lo = np.where(grow, residual(a_lo, phis), r_lo)
-        r_hi = np.where(grow, residual(a_hi, phis), r_hi)
-    bracketed = np.sign(r_lo) != np.sign(r_hi)
-
-    if phis.size == 1:
-        # Scalar query (edge refinement): Brent converges in ~a dozen
-        # evaluator calls where synchronised bisection needs ~50.
-        if not bool(bracketed[0]):
-            return np.array([np.nan])
-        from scipy.optimize import brentq
-
-        phi = float(phis[0])
-        root = brentq(
-            lambda a: float(residual(np.array([a]), np.array([phi]))[0]),
-            float(a_lo[0]),
-            float(a_hi[0]),
-            xtol=tol,
-            rtol=8.9e-16,
+        g = np.nonzero(grow)[0]
+        a_lo[g] = np.maximum(lo, a_lo[g] - span)
+        a_hi[g] = np.minimum(hi, a_hi[g] + span)
+        r_lo[g], r_hi[g] = np.split(
+            residual(np.concatenate([a_lo[g], a_hi[g]]), np.concatenate([g, g])), 2
         )
-        return np.array([root])
+    return a_lo, a_hi, r_lo, r_hi
 
-    # Bisection, synchronised across all bracketed points.
-    lo_v = a_lo.copy()
-    hi_v = a_hi.copy()
-    f_lo = r_lo.copy()
+
+def _bisect_amplitudes(residual, a_lo, a_hi, r_lo, r_hi, *, tol: float = 1e-13):
+    """The curve solve's root search: bisection synchronised over all
+    bracketed points, each step until every one of them has converged.
+    Unbracketed points come back as NaN."""
+    points = np.nonzero(np.sign(r_lo) != np.sign(r_hi))[0]
+    lo_v, hi_v, f_lo = a_lo[points], a_hi[points], r_lo[points]
     for _ in range(200):
         mid = 0.5 * (lo_v + hi_v)
-        width_ok = (hi_v - lo_v) < tol * np.maximum(1.0, np.abs(mid))
-        if bool(np.all(width_ok | ~bracketed)):
+        if bool(np.all((hi_v - lo_v) < tol * np.maximum(1.0, np.abs(mid)))):
             break
-        f_mid = residual(mid, phis)
+        f_mid = residual(mid, points)
         take_low = np.sign(f_mid) == np.sign(f_lo)
         lo_v = np.where(take_low, mid, lo_v)
         f_lo = np.where(take_low, f_mid, f_lo)
         hi_v = np.where(take_low, hi_v, mid)
-    solution = 0.5 * (lo_v + hi_v)
-    return np.where(bracketed, solution, np.nan)
+    solution = np.full(a_lo.size, np.nan)
+    solution[points] = 0.5 * (lo_v + hi_v)
+    return solution
 
 
-def _points_at_phis_batched(
-    df: TwoToneDF,
+def _brent_amplitudes(residual, a_lo, a_hi, r_lo, r_hi, *, tol: float = 1e-13):
+    """The edge probes' root search: Brent in lockstep over the bracketed
+    points, reusing the bracket residuals.  Unbracketed points come back
+    as NaN."""
+    points = np.nonzero(np.sign(r_lo) != np.sign(r_hi))[0]
+    solution = np.full(a_lo.size, np.nan)
+    solution[points] = brentq_lanes(
+        lambda a, lanes: residual(a, points[lanes]),
+        a_lo[points],
+        a_hi[points],
+        r_lo[points],
+        r_hi[points],
+        xtol=tol,
+        rtol=8.9e-16,
+    )
+    return solution
+
+
+def _curve_points(
+    stack: SurfaceStack,
+    members: np.ndarray,
     tank: Tank,
-    evaluate,
+    n: int,
     phis: np.ndarray,
     seeds: np.ndarray,
     a_window: tuple[float, float],
     *,
-    with_stability: bool = True,
-) -> list[LockRangePoint | None]:
+    solve,
+    with_stability: bool,
+):
     """Vectorised :func:`_point_at_phi` over many curve points.
 
-    Amplitude solve, ``phi_d`` extraction and the stability Jacobian all
-    run batched through the surface evaluator; only the (cheap, analytic)
-    tank phase inversion stays per point.  The stability rule is the same
-    eigenvalue criterion as :func:`classify_by_jacobian`, expressed as
-    ``trace < 0 and det > 0`` — equivalent for a real 2x2 system.
+    Point ``p`` lies on member ``members[p]`` of ``stack`` at abscissa
+    ``phis[p]``, seeded at amplitude ``seeds[p]``.  Amplitude solve
+    (``solve``: :func:`_bisect_amplitudes` or :func:`_brent_amplitudes`),
+    ``phi_d`` extraction and the stability Jacobian all run batched through
+    the surface evaluator; only the (cheap, analytic) tank phase inversion
+    stays per point.  The stability rule is the same eigenvalue criterion
+    as :func:`classify_by_jacobian`, expressed as ``trace < 0 and det > 0``
+    — equivalent for a real 2x2 system.  Returns the arrays
+    ``(amplitudes, phi_d, w_i, valid, stable)``.
     """
-    phis = np.asarray(phis, dtype=float)
-    seeds = np.asarray(seeds, dtype=float)
     tank_r = tank.peak_resistance
-    tank_c = tank.effective_capacitance()
-    amplitudes = _solve_amplitudes_batched(evaluate, tank_r, phis, seeds, a_window)
+    at_phis = stack.bind(phis, members)
+
+    def residual(a: np.ndarray, points: np.ndarray) -> np.ndarray:
+        i1x = np.real(at_phis(a, points))
+        return -tank_r * i1x / (a / 2.0) - 1.0
+
+    amplitudes = solve(residual, *_bracket_amplitudes(residual, seeds, a_window))
     valid = np.isfinite(amplitudes)
     safe_a = np.where(valid, amplitudes, 1.0)
 
-    i1 = evaluate(safe_a, phis)
-    phi_d = -np.angle(-i1)
+    phi_d = -np.angle(-at_phis(safe_a))
     valid &= np.abs(phi_d) < _PHI_D_LIMIT
 
     w_i = np.full(phis.shape, np.nan)
@@ -323,6 +327,8 @@ def _points_at_phis_batched(
         try:
             w_i[j] = tank.frequency_for_phase(float(phi_d[j]))
         except PhaseInversionError as exc:
+            # The point exists on the invariant curve but no operating
+            # frequency realises its tank phase: drop it, but leave a trace.
             record_fault(
                 SolveFault(
                     "phase-inversion-out-of-range",
@@ -333,113 +339,382 @@ def _points_at_phis_batched(
             )
             valid[j] = False
 
-    if with_stability:
-        # Batched finite-difference Jacobian of the slow flow (same stencil
-        # as SlowFlow.jacobian: central differences, rel_step 1e-5).
-        tan_phi_d = np.tan(phi_d)
-
-        def rhs(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            i1_ap = evaluate(a, p)
-            tf = -tank_r * np.real(i1_ap) / (a / 2.0)
-            da = a / (2.0 * tank_r * tank_c) * (tf - 1.0)
-            dphi = (
-                df.n
-                / (2.0 * tank_c)
-                * (2.0 * np.imag(i1_ap) / a - tan_phi_d / tank_r)
-            )
-            return da, dphi
-
-        rel_step = 1e-5
-        h_a = rel_step * safe_a
-        h_p = rel_step * 2.0 * np.pi
-        fa_p = rhs(safe_a + h_a, phis)
-        fa_m = rhs(safe_a - h_a, phis)
-        fp_p = rhs(safe_a, phis + h_p)
-        fp_m = rhs(safe_a, phis - h_p)
-        j00 = (fa_p[0] - fa_m[0]) / (2.0 * h_a)
-        j01 = (fp_p[0] - fp_m[0]) / (2.0 * h_p)
-        j10 = (fa_p[1] - fa_m[1]) / (2.0 * h_a)
-        j11 = (fp_p[1] - fp_m[1]) / (2.0 * h_p)
-        trace = j00 + j11
-        det = j00 * j11 - j01 * j10
-        stable = (trace < 0.0) & (det > 0.0)
-    else:
+    if not with_stability:
         # Probe mode (edge refinement tracks phi_d only).
-        stable = np.zeros(phis.shape, dtype=bool)
+        return amplitudes, phi_d, w_i, valid, np.zeros(phis.shape, dtype=bool)
+    # Batched finite-difference Jacobian of the slow flow (same stencil
+    # as SlowFlow.jacobian: central differences, rel_step 1e-5).
+    tank_c = tank.effective_capacitance()
+    tan_phi_d = np.tan(phi_d)
 
-    points: list[LockRangePoint | None] = []
-    for j in range(phis.size):
-        if not valid[j]:
-            points.append(None)
-            continue
-        points.append(
-            LockRangePoint(
-                phi=float(phis[j]),
-                amplitude=float(amplitudes[j]),
-                phi_d=float(phi_d[j]),
-                w_i=float(w_i[j]),
-                stable=bool(stable[j]),
-            )
+    def rhs(a: np.ndarray, at) -> tuple[np.ndarray, np.ndarray]:
+        i1_ap = at(a)
+        tf = -tank_r * np.real(i1_ap) / (a / 2.0)
+        da = a / (2.0 * tank_r * tank_c) * (tf - 1.0)
+        dphi = n / (2.0 * tank_c) * (2.0 * np.imag(i1_ap) / a - tan_phi_d / tank_r)
+        return da, dphi
+
+    rel_step = 1e-5
+    h_a = rel_step * safe_a
+    h_p = rel_step * 2.0 * np.pi
+    fa_p = rhs(safe_a + h_a, at_phis)
+    fa_m = rhs(safe_a - h_a, at_phis)
+    fp_p = rhs(safe_a, stack.bind(phis + h_p, members))
+    fp_m = rhs(safe_a, stack.bind(phis - h_p, members))
+    j00 = (fa_p[0] - fa_m[0]) / (2.0 * h_a)
+    j01 = (fp_p[0] - fp_m[0]) / (2.0 * h_p)
+    j10 = (fa_p[1] - fa_m[1]) / (2.0 * h_a)
+    j11 = (fp_p[1] - fp_m[1]) / (2.0 * h_p)
+    stable = (j00 + j11 < 0.0) & (j00 * j11 - j01 * j10 > 0.0)
+    return amplitudes, phi_d, w_i, valid, stable
+
+
+def _as_points(phis: np.ndarray, arrays) -> list[LockRangePoint | None]:
+    """:func:`_curve_points` arrays as one point (or None) per abscissa."""
+    amplitudes, phi_d, w_i, valid, stable = arrays
+    return [
+        LockRangePoint(
+            phi=float(phis[j]),
+            amplitude=float(amplitudes[j]),
+            phi_d=float(phi_d[j]),
+            w_i=float(w_i[j]),
+            stable=bool(stable[j]),
         )
-    return points
+        if valid[j]
+        else None
+        for j in range(phis.size)
+    ]
 
 
-def _refine_extremum(
-    df: TwoToneDF,
-    tank: Tank,
-    phi_lo: float,
-    phi_hi: float,
-    a_seed: float,
-    a_window: tuple[float, float],
-    sign: float,
-    *,
-    tol: float = 1e-10,
-    evaluate=None,
-) -> LockRangePoint | None:
-    """Golden-section maximisation of ``sign * phi_d`` along the curve."""
+def _golden_section(phi_lo, phi_hi, probe, *, tol: float = 1e-10) -> np.ndarray:
+    """Golden-section maximisation on every lane at once.
+
+    Lane ``l`` maximises ``probe(phi, l)`` over ``[phi_lo[l], phi_hi[l]]``
+    with a scalar golden-section search's own arithmetic and 80-step cap;
+    each round asks ``probe(phis, lanes)`` for the one new abscissa of
+    every lane still open.  Returns the best abscissa per lane.
+    """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-
-    cache: dict[float, LockRangePoint | None] = {}
-
-    def point_at(phi: float, with_stability: bool = False) -> LockRangePoint | None:
-        if evaluate is None:
-            return _point_at_phi(df, tank, phi, a_seed, a_window)
-        return _points_at_phis_batched(
-            df,
-            tank,
-            evaluate,
-            np.array([phi]),
-            np.array([a_seed]),
-            a_window,
-            with_stability=with_stability,
-        )[0]
-
-    def value(phi: float) -> float:
-        if phi not in cache:
-            cache[phi] = point_at(phi)
-        point = cache[phi]
-        if point is None:
-            return -np.inf
-        return sign * point.phi_d
-
-    a, b = float(phi_lo), float(phi_hi)
+    a = np.array(phi_lo, dtype=float)
+    b = np.array(phi_hi, dtype=float)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = value(c), value(d)
+    everyone = np.arange(a.size)
+    fc, fd = np.split(
+        probe(np.concatenate([c, d]), np.concatenate([everyone, everyone])), 2
+    )
+    active = everyone
     for _ in range(80):
-        if abs(b - a) < tol:
+        active = active[~(np.abs(b[active] - a[active]) < tol)]
+        if not active.size:
             break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = value(c)
+        left = fc[active] > fd[active]
+        lo, hi = active[left], active[~left]
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = b[lo] - invphi * (b[lo] - a[lo])
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = a[hi] + invphi * (b[hi] - a[hi])
+        fc[lo], fd[hi] = np.split(
+            probe(np.concatenate([c[lo], d[hi]]), np.concatenate([lo, hi])), [lo.size]
+        )
+    return np.where(fc > fd, c, d)
+
+
+@dataclass(frozen=True)
+class _Lane:
+    """One lock-range edge of one ``V_i`` to refine: the extremum of
+    ``sign * phi_d`` near the best stable sample, inside ``[phi_lo, phi_hi]``."""
+
+    member: int
+    sign: float
+    best: LockRangePoint
+    phi_lo: float
+    phi_hi: float
+
+
+def _edge_lanes(member: int, samples, stable) -> list[_Lane | LockRangePoint]:
+    """Both edges of one solved curve: a lane to refine, or the best
+    sample itself when its neighbourhood has collapsed to a point."""
+    edges: list[_Lane | LockRangePoint] = []
+    # +1: largest positive phi_d -> lowest freq; -1: most negative -> highest.
+    for sign in (+1.0, -1.0):
+        best = max(stable, key=lambda p: sign * p.phi_d)
+        neighbours = sorted(
+            samples, key=lambda p: abs(np.angle(np.exp(1j * (p.phi - best.phi))))
+        )[:5]
+        phi_lo = min(p.phi for p in neighbours)
+        phi_hi = max(p.phi for p in neighbours)
+        if phi_hi - phi_lo < 1e-12:
+            edges.append(best)
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = value(d)
-    best_phi = c if fc > fd else d
-    # Final point carries the full stability verdict (probes skip it).
-    return point_at(best_phi, with_stability=True)
+            edges.append(_Lane(member, sign, best, phi_lo, phi_hi))
+    return edges
+
+
+def _refine_lanes(
+    lanes: list[_Lane],
+    dfs: list[TwoToneDF],
+    sources: dict,
+    tank: Tank,
+    n: int,
+    a_window: tuple[float, float],
+    method: str,
+) -> list[LockRangePoint]:
+    """Refine every lane's edge in lockstep; one evaluator call per round.
+
+    ``fft``: every probe and the final stability points of all lanes go
+    through one :class:`~repro.core.two_tone.SurfaceStack` over the lanes'
+    ``V_i``; ``dense``: each probe is the scalar exact-quadrature
+    :func:`_point_at_phi`.  A refined edge replaces the lane's best sample
+    only when it moves the edge outward.
+    """
+    if not lanes:
+        return []
+    signs = np.array([lane.sign for lane in lanes])
+    seeds = np.array([lane.best.amplitude for lane in lanes])
+    if method == "fft":
+        alive = sorted({lane.member for lane in lanes})
+        stack = SurfaceStack([sources[j] for j in alive])
+        members = np.array([alive.index(lane.member) for lane in lanes])
+
+        def solve(phis, lanes_at, *, with_stability=False):
+            return _curve_points(
+                stack,
+                members[lanes_at],
+                tank,
+                n,
+                phis,
+                seeds[lanes_at],
+                a_window,
+                solve=_brent_amplitudes,
+                with_stability=with_stability,
+            )
+
+        def probe(phis, lanes_at):
+            _, phi_d, _, valid, _ = solve(phis, lanes_at)
+            return np.where(valid, signs[lanes_at] * phi_d, -np.inf)
+
+        def final(phis):
+            everyone = np.arange(len(lanes))
+            return _as_points(phis, solve(phis, everyone, with_stability=True))
+
+    else:
+
+        def point(phi, lane):
+            return _point_at_phi(
+                dfs[lanes[lane].member], tank, float(phi), float(seeds[lane]), a_window
+            )
+
+        def probe(phis, lanes_at):
+            values = [point(phi, lane) for phi, lane in zip(phis, lanes_at)]
+            return np.array(
+                [-np.inf if p is None else signs[lane] * p.phi_d
+                 for p, lane in zip(values, lanes_at)]
+            )
+
+        def final(phis):
+            return [point(phi, lane) for lane, phi in enumerate(phis)]
+
+    best_phis = _golden_section(
+        [lane.phi_lo for lane in lanes], [lane.phi_hi for lane in lanes], probe
+    )
+    return [
+        lane.best
+        if refined is None or lane.sign * refined.phi_d < lane.sign * lane.best.phi_d
+        else refined
+        for lane, refined in zip(lanes, final(best_phis))
+    ]
+
+
+def _solve_curve(
+    df: TwoToneDF,
+    tank: Tank,
+    amplitudes: np.ndarray,
+    phis: np.ndarray,
+    a_window: tuple[float, float],
+):
+    """One ``V_i``'s pass along its invariant curve: characterise, extract
+    ``T_f = 1``, solve every vertex.  Returns ``(samples, source)`` —
+    ``source`` being the DF's ``I_1`` source the edge refinement stacks."""
+    grid = df.characterize(amplitudes, phis, tank.peak_resistance)
+    with trace("curve-extraction"):
+        tf_curves = extract_level_curves(grid, "tf", 1.0)
+    if not tf_curves:
+        raise NoLockError(
+            "the T_f = 1 curve does not exist in the amplitude window; "
+            "check that the oscillator sustains oscillation at this V_i"
+        )
+    curve_phis = np.concatenate([np.asarray(c.x, dtype=float) for c in tf_curves])
+    curve_seeds = np.concatenate([np.asarray(c.y, dtype=float) for c in tf_curves])
+    source = None
+    with trace("curve-solve"):
+        if df.method == "fft":
+            source = df.i1_source(amplitudes, phis)
+            points = _as_points(
+                curve_phis,
+                _curve_points(
+                    SurfaceStack([source]),
+                    np.zeros(curve_phis.size, dtype=int),
+                    tank,
+                    df.n,
+                    curve_phis,
+                    curve_seeds,
+                    a_window,
+                    solve=_bisect_amplitudes,
+                    with_stability=True,
+                ),
+            )
+        else:
+            points = [
+                _point_at_phi(df, tank, float(phi), float(seed), a_window)
+                for phi, seed in zip(curve_phis, curve_seeds)
+            ]
+    return [p for p in points if p is not None], source
+
+
+def predict_lock_ranges(
+    nonlinearity: Nonlinearity,
+    tank: Tank,
+    *,
+    v_is,
+    n: int,
+    amplitude_window: tuple[float, float] | None = None,
+    n_a: int = 121,
+    n_phi: int = 241,
+    n_samples: int = DEFAULT_SAMPLES,
+    method: str = "fft",
+    dfs: list[TwoToneDF] | None = None,
+) -> list[LockRange | Exception]:
+    """Predict the n-th sub-harmonic lock range for every ``V_i`` of a set.
+
+    Three phases share one ``(A, phi)`` grid (:func:`~repro.core.natural.lock_grid`):
+
+    1. per ``V_i``: pre-characterise, extract the ``T_f = 1`` curve and
+       solve it (:func:`predict_lock_range`'s one pass);
+    2. in lockstep: golden-section refinement of both edges of every
+       ``V_i`` — each bracket, root and golden-section round makes one
+       evaluator call for all open (``V_i``, edge) lanes;
+    3. together: the refined edges' stability points, in one call.
+
+    Every lane's arithmetic is elementwise, so each ``V_i``'s answer is
+    bitwise what it gets solved alone.  ``dfs`` (one per ``V_i``, as
+    :meth:`~repro.core.two_tone.TwoToneDF.batch` builds them for this
+    grid) must match ``(v_i, n, n_samples, method)``; they are built with
+    ``TwoToneDF.batch`` when omitted.  Other parameters are
+    :func:`predict_lock_range`'s.
+
+    Returns one entry per ``V_i``: its :class:`LockRange`, or the
+    recoverable exception its solve raised (:class:`NoLockError`, a
+    numerical fault) — one failing ``V_i`` never aborts the others.
+    """
+    from repro.robust.ladder import _recoverable_exceptions
+
+    v_is = [float(v_i) for v_i in v_is]
+    for v_i in v_is:
+        check_positive("v_i", v_i)
+    if int(n) != n or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    n = int(n)
+    if method not in ("fft", "dense"):
+        raise ValueError(f"method must be 'fft' or 'dense', got {method!r}")
+    recoverable = _recoverable_exceptions()
+    with trace(
+        "lockrange",
+        attrs={
+            "n": n,
+            "v_i": min(v_is, default=0.0),
+            "v_is": len(v_is),
+            "method": method,
+            "n_a": n_a,
+            "n_phi": n_phi,
+        },
+    ) as sp:
+        amplitude_window, amplitudes, phis = lock_grid(
+            nonlinearity,
+            tank,
+            n_a=n_a,
+            n_phi=n_phi,
+            n_samples=n_samples,
+            amplitude_window=amplitude_window,
+        )
+        if dfs is None:
+            with trace("characterize", attrs={"v_is": len(v_is)}):
+                dfs = TwoToneDF.batch(
+                    nonlinearity,
+                    v_is,
+                    n,
+                    amplitudes,
+                    n_samples=n_samples,
+                    method=method,
+                )
+        if len(dfs) != len(v_is):
+            raise ValueError(f"got {len(dfs)} dfs for {len(v_is)} V_i values")
+        for v_i, df in zip(v_is, dfs):
+            mismatches = [
+                f"{name}={have!r} != {want!r}"
+                for name, have, want in (
+                    ("v_i", df.v_i, v_i),
+                    ("n", df.n, n),
+                    ("n_samples", df.n_samples, n_samples),
+                    ("method", df.method, method),
+                )
+                if have != want
+            ]
+            if mismatches:
+                raise ValueError(
+                    "injected df does not match the requested solve: "
+                    + ", ".join(mismatches)
+                )
+
+        results: list = [None] * len(v_is)
+        solved: dict[int, list[LockRangePoint]] = {}
+        sources: dict[int, object] = {}
+        stable: dict[int, list[LockRangePoint]] = {}
+        for j, df in enumerate(dfs):
+            try:
+                solved[j], sources[j] = _solve_curve(
+                    df, tank, amplitudes, phis, amplitude_window
+                )
+                metrics.inc("lockrange.solves", method=method)
+                stable[j] = [p for p in solved[j] if p.stable]
+                if not stable[j]:
+                    raise NoLockError(
+                        "no stable lock state exists on the T_f = 1 curve for "
+                        "this injection"
+                    )
+            except recoverable as exc:
+                results[j] = exc
+        sp.set(
+            samples=sum(len(samples) for samples in solved.values()),
+            faults=sum(1 for r in results if r is not None),
+        )
+        locked = [j for j in stable if stable[j]]
+        if not locked:
+            return results
+
+        with trace("edge-refine") as refine_sp:
+            edges = {j: _edge_lanes(j, solved[j], stable[j]) for j in locked}
+            lanes = [e for pair in edges.values() for e in pair if isinstance(e, _Lane)]
+            refine_sp.set(lanes=len(lanes))
+            refined = iter(
+                _refine_lanes(lanes, dfs, sources, tank, n, amplitude_window, method)
+            )
+        for j, pair in edges.items():
+            edge_low, edge_high = (
+                next(refined) if isinstance(e, _Lane) else e for e in pair
+            )
+            results[j] = LockRange(
+                n=n,
+                v_i=v_is[j],
+                injection_lower=n * edge_low.w_i,
+                injection_upper=n * edge_high.w_i,
+                phi_d_at_lower=edge_low.phi_d,
+                phi_d_at_upper=edge_high.phi_d,
+                amplitude_at_lower=edge_low.amplitude,
+                amplitude_at_upper=edge_high.amplitude,
+                samples=sorted(solved[j], key=lambda p: p.phi),
+            )
+        return results
 
 
 def predict_lock_range(
@@ -456,6 +731,8 @@ def predict_lock_range(
     df: TwoToneDF | None = None,
 ) -> LockRange:
     """Predict the n-th sub-harmonic lock range — one pass, no iteration.
+
+    A batch of one of :func:`predict_lock_ranges`.
 
     Parameters
     ----------
@@ -482,12 +759,14 @@ def predict_lock_range(
         ablation baseline; both methods agree to solver tolerance on
         smooth laws.
     df:
-        A pre-built :class:`~repro.core.two_tone.TwoToneDF` to solve on
-        instead of constructing one; must match ``(v_i, n, n_samples,
-        method)`` exactly.  The sweep engine passes DFs from
-        :meth:`~repro.core.two_tone.TwoToneDF.batch`, whose surfaces are
-        already built for this grid, so the solve skips the store lookup
-        and stays bitwise identical to a call without ``df``.
+        A pre-built :class:`~repro.core.two_tone.TwoToneDF` to solve on,
+        passed on as ``predict_lock_ranges(dfs=[df])``; it must match
+        ``(v_i, n, n_samples, method)`` exactly (``ValueError`` names any
+        mismatch).  The answer is bitwise that of a call without ``df``.
+        Nothing in the package passes it (the sweep engine calls
+        :func:`predict_lock_ranges`); it stays for callers that stage the
+        pipeline themselves, such as the benchmark's decomposed-prediction
+        check.
 
     Raises
     ------
@@ -495,137 +774,21 @@ def predict_lock_range(
         When no stable lock exists at any frequency (injection too weak to
         produce a lockable phase rotation).
     """
-    check_positive("v_i", v_i)
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    n = int(n)
-    if method not in ("fft", "dense"):
-        raise ValueError(f"method must be 'fft' or 'dense', got {method!r}")
-    with trace(
-        "lockrange",
-        attrs={"n": n, "v_i": v_i, "method": method, "n_a": n_a, "n_phi": n_phi},
-    ) as sp:
-        tank_r = tank.peak_resistance
-        amplitude_window, amplitudes, phis = lock_grid(
-            nonlinearity,
-            tank,
-            n_a=n_a,
-            n_phi=n_phi,
-            n_samples=n_samples,
-            amplitude_window=amplitude_window,
-        )
-
-        if df is None:
-            df = TwoToneDF(nonlinearity, v_i, n, n_samples=n_samples, method=method)
-        else:
-            mismatches = [
-                name
-                for name, have, want in (
-                    ("v_i", df.v_i, v_i),
-                    ("n", df.n, n),
-                    ("n_samples", df.n_samples, n_samples),
-                    ("method", df.method, method),
-                )
-                if have != want
-            ]
-            if mismatches:
-                raise ValueError(
-                    "injected df does not match the requested solve: "
-                    + ", ".join(
-                        f"{name}={getattr(df, name)!r} != {want!r}"
-                        for name, want in (
-                            ("v_i", v_i),
-                            ("n", n),
-                            ("n_samples", n_samples),
-                            ("method", method),
-                        )
-                        if name in mismatches
-                    )
-                )
-        grid = df.characterize(amplitudes, phis, tank_r)
-        with trace("curve-extraction"):
-            tf_curves = extract_level_curves(grid, "tf", 1.0)
-        if not tf_curves:
-            raise NoLockError(
-                "the T_f = 1 curve does not exist in the amplitude window; "
-                "check that the oscillator sustains oscillation at this V_i"
-            )
-
-        evaluate = df.i1_evaluator(amplitudes, phis) if method == "fft" else None
-        samples: list[LockRangePoint] = []
-        with trace("curve-solve"):
-            if evaluate is not None:
-                curve_phis = np.concatenate(
-                    [np.asarray(c.x, dtype=float) for c in tf_curves]
-                )
-                curve_seeds = np.concatenate(
-                    [np.asarray(c.y, dtype=float) for c in tf_curves]
-                )
-                for point in _points_at_phis_batched(
-                    df, tank, evaluate, curve_phis, curve_seeds, amplitude_window
-                ):
-                    if point is not None:
-                        samples.append(point)
-            else:
-                for curve in tf_curves:
-                    for j in range(len(curve)):
-                        point = _point_at_phi(
-                            df,
-                            tank,
-                            float(curve.x[j]),
-                            float(curve.y[j]),
-                            amplitude_window,
-                        )
-                        if point is not None:
-                            samples.append(point)
-        sp.set(samples=len(samples))
-        metrics.inc("lockrange.solves", method=method)
-        stable = [p for p in samples if p.stable]
-        if not stable:
-            raise NoLockError(
-                "no stable lock state exists on the T_f = 1 curve for this "
-                "injection"
-            )
-
-        # Extremal stable tank phases -> lock-range edges; refine around each.
-        def refine_edge(sign: float) -> LockRangePoint:
-            best = max(stable, key=lambda p: sign * p.phi_d)
-            neighbours = sorted(
-                samples, key=lambda p: abs(np.angle(np.exp(1j * (p.phi - best.phi))))
-            )[:5]
-            phi_lo = min(p.phi for p in neighbours)
-            phi_hi = max(p.phi for p in neighbours)
-            if phi_hi - phi_lo < 1e-12:
-                return best
-            refined = _refine_extremum(
-                df,
-                tank,
-                phi_lo,
-                phi_hi,
-                best.amplitude,
-                amplitude_window,
-                sign,
-                evaluate=evaluate,
-            )
-            if refined is None or sign * refined.phi_d < sign * best.phi_d:
-                return best
-            return refined
-
-        with trace("edge-refine"):
-            edge_low = refine_edge(+1.0)  # largest positive phi_d -> lowest freq
-            edge_high = refine_edge(-1.0)  # most negative phi_d -> highest freq
-
-        return LockRange(
-            n=n,
-            v_i=v_i,
-            injection_lower=n * edge_low.w_i,
-            injection_upper=n * edge_high.w_i,
-            phi_d_at_lower=edge_low.phi_d,
-            phi_d_at_upper=edge_high.phi_d,
-            amplitude_at_lower=edge_low.amplitude,
-            amplitude_at_upper=edge_high.amplitude,
-            samples=sorted(samples, key=lambda p: p.phi),
-        )
+    (result,) = predict_lock_ranges(
+        nonlinearity,
+        tank,
+        v_is=[v_i],
+        n=n,
+        amplitude_window=amplitude_window,
+        n_a=n_a,
+        n_phi=n_phi,
+        n_samples=n_samples,
+        method=method,
+        dfs=None if df is None else [df],
+    )
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def lock_range_by_frequency_scan(

@@ -86,6 +86,7 @@ __all__ = [
     "precharacterize",
     "surface_disk_key",
     "TwoToneSurface",
+    "SurfaceStack",
     "TwoToneDF",
 ]
 
@@ -109,6 +110,12 @@ _FFT_TOL = 1e-9
 
 #: Highest harmonic order m stored on a surface (I_1 .. I_m_max).
 _DEFAULT_M_MAX = 8
+
+#: Most surfaces one SurfaceStack spline carries.  A call evaluates every
+#: column of the spline for each point it serves, so wider stacks cost
+#: quadratically in the group size (32 V_i: 2.4x the per-V_i edge
+#: refinement of 16); 8 keeps a 4-row tongue map on one spline.
+_STACK_WIDTH = 8
 
 
 def _validate_order(n) -> int:
@@ -748,6 +755,108 @@ class TwoToneSurface:
         )
 
 
+class SurfaceStack:
+    """One vectorised ``I_1`` evaluator over several members' surfaces.
+
+    ``sources`` holds one entry per member (say, one per ``V_i`` of a
+    sweep group): a converged :class:`TwoToneSurface`, or any
+    ``(amplitude, phi) -> I_1`` callable (:meth:`TwoToneDF.i1_source`
+    gives one or the other).  Surfaces that share their amplitude grid and
+    k-lines are splined together — one ``CubicSpline`` over the stacked
+    ``I_1`` coefficients of up to ``_STACK_WIDTH`` of them — so a call
+    costs one spline evaluation per stack its points touch; each point
+    then reads its own member's columns.  The spline solve and the
+    piecewise-polynomial evaluation act column by column, and the k axis
+    is never padded, so every value is bitwise the member surface's own
+    :meth:`~TwoToneSurface.i1_at`.  Callables (dense-grid fallbacks) and
+    surfaces too coarse for a cubic are evaluated on their own points.
+    """
+
+    def __init__(self, sources) -> None:
+        from scipy.interpolate import CubicSpline
+
+        self.sources = list(sources)
+        #: Per group: ``(spline, k_orders)`` for a surface stack, else a callable.
+        self._groups: list = []
+        self._group_of = np.empty(len(self.sources), dtype=int)
+        self._column_of = np.zeros(len(self.sources), dtype=int)
+        stacks: dict[tuple[bytes, bytes], list[list[int]]] = {}
+        for j, source in enumerate(self.sources):
+            if isinstance(source, TwoToneSurface) and source.amplitudes.size < 4:
+                source = source.i1_at
+            if isinstance(source, TwoToneSurface):
+                key = (source.amplitudes.tobytes(), source.k_orders.tobytes())
+                stacks.setdefault(key, [[]])
+                if len(stacks[key][-1]) == _STACK_WIDTH:
+                    stacks[key].append([])
+                stacks[key][-1].append(j)
+            else:
+                self._group_of[j] = len(self._groups)
+                self._groups.append(source)
+        for members in (chunk for chunks in stacks.values() for chunk in chunks):
+            first = self.sources[members[0]]
+            block = np.stack(
+                [
+                    self.sources[j].coefficients[self.sources[j]._m_row(1)]
+                    for j in members
+                ],
+                axis=1,
+            )
+            spline = CubicSpline(first.amplitudes, block, axis=0)
+            self._group_of[members] = len(self._groups)
+            self._column_of[members] = np.arange(len(members))
+            self._groups.append((spline, first.k_orders))
+
+    def bind(self, phis: np.ndarray, members: np.ndarray):
+        """``I_1`` at fixed per-point phases, for any amplitudes.
+
+        Point ``p`` is member ``members[p]`` at phase ``phis[p]``.  Returns
+        ``at(amplitudes, points=None)``: ``I_1`` of the points ``points``
+        (indices; every point when omitted) at ``amplitudes``.  The phase
+        basis ``exp(j k phi)`` is computed here once, however many
+        amplitudes a root search tries.
+        """
+        phis = np.asarray(phis, dtype=float)
+        members = np.asarray(members, dtype=int)
+        group = self._group_of[members]
+        column = self._column_of[members]
+        #: Each point's row within its group's arrays.
+        row = np.empty(phis.size, dtype=int)
+        parts = []
+        for g in np.unique(group):
+            own = np.nonzero(group == g)[0]
+            row[own] = np.arange(own.size)
+            source = self._groups[g]
+            if isinstance(source, tuple):
+                spline, k_orders = source
+                basis = np.exp(1j * phis[own][:, None] * k_orders[None, :])
+
+                def evaluate(a, rows, points, spline=spline, basis=basis):
+                    coeffs = spline(a)[np.arange(rows.size), column[points]]
+                    metrics.inc("df.evaluations", rows.size, method="fft")
+                    return np.einsum("pk,pk->p", coeffs, basis[rows])
+
+            else:
+
+                def evaluate(a, rows, points, source=source, own_phis=phis[own]):
+                    return source(a, own_phis[rows])
+
+            parts.append((g, evaluate))
+        everyone = np.arange(phis.size)
+
+        def at(amplitudes, points=None) -> np.ndarray:
+            amplitudes = np.asarray(amplitudes, dtype=float)
+            points = everyone if points is None else np.asarray(points, dtype=int)
+            out = np.empty(amplitudes.size, dtype=complex)
+            for g, evaluate in parts:
+                mask = slice(None) if len(parts) == 1 else group[points] == g
+                mine = points[mask]
+                out[mask] = evaluate(amplitudes[mask], row[mine], mine)
+            return out
+
+        return at
+
+
 @dataclass
 class TwoToneDF:
     """Pre-characterised two-tone describing function for one injection setup.
@@ -989,18 +1098,19 @@ class TwoToneDF:
         self._grid_cache[key] = grid
         return grid
 
-    def i1_evaluator(self, amplitudes: np.ndarray, phis: np.ndarray):
-        """A fast vectorised ``I_1(A, phi)`` evaluator for the solver loops.
+    def i1_source(self, amplitudes: np.ndarray, phis: np.ndarray):
+        """The fast ``I_1(A, phi)`` source the solver loops evaluate.
 
-        Returns a callable ``(amplitude, phi) -> complex ndarray`` (numpy
-        broadcasting).  For a ``method="dense"`` DF this is the exact
-        quadrature (:meth:`i1` — the referee solver path).  For
-        ``method="fft"`` it evaluates the pre-characterised surface with
-        *zero* nonlinearity calls: a coefficient spline for converged
-        surfaces, or a bicubic spline over the (cached) dense grid when the
-        law's psi-spectrum did not converge.  Either way the evaluator is
-        smooth in both arguments, which the bisection/Newton/golden-section
-        refinements in :mod:`repro.core.lockrange` rely on.
+        For ``method="fft"`` with a converged surface this is the
+        :class:`TwoToneSurface` itself (evaluated with *zero* nonlinearity
+        calls through a coefficient spline).  Otherwise it is a callable
+        ``(amplitude, phi) -> complex ndarray``: a bicubic spline over the
+        (cached) dense grid when the law's psi-spectrum did not converge,
+        or, for a ``method="dense"`` DF, the exact quadrature (:meth:`i1` —
+        the referee solver path).  :class:`SurfaceStack` takes either
+        form.  Every source is smooth in both arguments, which the
+        bisection/Brent/golden-section refinements in
+        :mod:`repro.core.lockrange` rely on.
         """
         if self.method == "dense":
             return self.i1
@@ -1008,7 +1118,7 @@ class TwoToneDF:
         phis = np.asarray(phis, dtype=float)
         surface = self.surface(amplitudes)
         if surface.converged:
-            return surface.i1_at
+            return surface
 
         from scipy.interpolate import RectBivariateSpline
 

@@ -335,10 +335,14 @@ class Tracer:
         return self._trace_on
 
     def enable(self) -> None:
-        """Start buffering span records; resets any prior buffer."""
+        """Start buffering span records; resets any prior buffer.
+
+        Span ids keep counting across buffers: a span still open when the
+        buffer is reset finishes into the next one, and an id shared with
+        a span of that buffer would tie the two trees into a cycle.
+        """
         self._records = []
         self._dropped = 0
-        self._count = 0
         self._epoch = _now()
         self._epoch_unix = time.time()
         self._trace_on = True
@@ -352,7 +356,6 @@ class Tracer:
         self._trace_on = False
         self._records = []
         self._dropped = 0
-        self._count = 0
 
     def set_process(self, name: str | None) -> None:
         """Stamp every subsequently emitted record with a ``process`` name.

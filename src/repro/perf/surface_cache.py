@@ -234,8 +234,16 @@ class SurfaceCache:
         excess = len(records) - self.max_entries
         if excess <= 0:
             return
-        records.sort(key=lambda p: p.stat().st_mtime)
-        for stale in records[:excess]:
+        # Processes sharing the store evict concurrently: a record another
+        # one removed after our listing is already gone, not an error.
+        aged = []
+        for record in records:
+            try:
+                aged.append((record.stat().st_mtime, record))
+            except FileNotFoundError:
+                excess -= 1
+        aged.sort(key=lambda entry: entry[0])
+        for _, stale in aged[: max(excess, 0)]:
             stale.unlink(missing_ok=True)
 
     def fingerprint_coverage(self) -> dict[str, int]:

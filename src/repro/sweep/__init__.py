@@ -15,10 +15,10 @@ batch axis first-class:
 * :mod:`repro.sweep.engine` — the batched evaluator: per-group
   pre-characterisation through the one surface store
   (:class:`~repro.perf.sharded_cache.ShardedSurfaceCache`),
-  per-``V_i`` lock-range solves that are **bitwise identical** to the
-  scalar :func:`~repro.core.lockrange.predict_lock_range` path, per-point
-  fault masking through the PR 3 escalation ladder, and ``sweep.*``
-  spans/counters;
+  one lockstep :func:`~repro.core.lockrange.predict_lock_ranges` solve per
+  group whose per-``V_i`` results are **bitwise identical** to the scalar
+  :func:`~repro.core.lockrange.predict_lock_range` path, per-point fault
+  masking through the escalation ladder, and ``sweep.*`` spans/counters;
 * :mod:`repro.sweep.report` — tidy results tables, the ASCII
   Arnol'd-tongue map, and the ``SWEEP_REPORT.json`` artifact.
 """

@@ -10,21 +10,24 @@ Execution model (one pass per :class:`~repro.sweep.plan.SweepGroup`):
    prediction takes too — so warm records come back from the surface
    store and the misses are built in **one** stacked FFT pass under
    single-flight locks;
-3. run **one** lock-range solve per distinct ``V_i`` — the lock range
-   does not depend on the injection frequency, so an entire tongue-map
-   frequency row classifies by interval containment against its ``V_i``'s
-   solve;
-4. mask faults per point: a failed solve degrades to the PR 3 escalation
-   ladder for that point alone (``spec.escalate``) and, if it still
-   fails, is reported as a ``no-lock`` / ``fault`` outcome — a batch is
-   never aborted by one bad operating point.
+3. solve every ``V_i`` of the group in **one**
+   :func:`~repro.core.lockrange.predict_lock_ranges` call — the lock
+   range does not depend on the injection frequency, so an entire
+   tongue-map frequency row classifies by interval containment against
+   its ``V_i``'s lock range; the call refines the edges of all ``V_i`` in
+   lockstep, one stacked surface evaluation per iteration;
+4. mask faults per point: a ``V_i`` whose solve failed degrades to the
+   escalation ladder (:mod:`repro.robust.ladder`) for its points alone
+   (``spec.escalate``) and, if it still fails, is reported as a
+   ``no-lock`` / ``fault`` outcome — a batch is never aborted by one bad
+   operating point.
 
-Every per-``V_i`` solve goes through the *unmodified*
-:func:`~repro.core.lockrange.predict_lock_range` with the group's shared
-window (:func:`~repro.core.natural.lock_grid`, the rule a scalar call
-applies) and its ``V_i``'s DF.  Since each DF's surface comes from the
-same builder and store a scalar call uses, batched results are **bitwise
-identical** to the scalar path.
+The group's solve gets the shared window
+(:func:`~repro.core.natural.lock_grid`, the rule a scalar call applies)
+and the DFs of ``TwoToneDF.batch``; every lane's arithmetic is
+elementwise and :func:`~repro.core.lockrange.predict_lock_range` is the
+same call on one ``V_i``, so batched results are **bitwise identical**
+to the scalar path.
 
 :func:`run_sweep_pointwise` is the honest scalar baseline: the naive
 point loop that re-enters ``predict_lock_range`` from scratch — natural
@@ -36,7 +39,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.core.lockrange import LockRange, NoLockError, predict_lock_range
+from repro.core.lockrange import (
+    LockRange,
+    NoLockError,
+    predict_lock_range,
+    predict_lock_ranges,
+)
 from repro.core.natural import lock_grid
 from repro.core.two_tone import TwoToneDF
 from repro.obs import metrics, trace
@@ -100,18 +108,19 @@ def _solve_point(
     tank,
     point: SweepPoint,
     spec: SweepSpec,
-    *,
-    amplitude_window=None,
-    df: TwoToneDF | None = None,
+    first: LockRange | Exception | None = None,
 ) -> tuple[LockRange | None, str, str | None, str]:
     """One fault-masked lock-range solve.
 
-    Returns ``(lock, status, recovered_via, detail)``.  The fast path is
-    the plain solver (bitwise-identical to scalar calls); recoverable
-    failures degrade to the escalation ladder for this point alone when
-    ``spec.escalate`` — without the injected window/df, so the ladder's
-    rungs (refined grid, widened window, dense referee) behave exactly as
-    they do for a scalar caller.
+    Returns ``(lock, status, recovered_via, detail)``.  ``first`` is the
+    plain solver's answer for this point when the caller already has it
+    (the batched engine's :func:`predict_lock_ranges` entry — a lock range
+    or the recoverable exception it raised); otherwise the plain scalar
+    :func:`predict_lock_range` runs here.  Recoverable failures degrade to
+    the escalation ladder for this point alone when ``spec.escalate`` —
+    without any injected window or DF, so the ladder's rungs (refined
+    grid, widened window, dense referee) behave exactly as they do for a
+    scalar caller.
     """
     recoverable = _recoverable_exceptions()
     kwargs = dict(
@@ -122,17 +131,14 @@ def _solve_point(
         n_samples=spec.n_samples,
         method=spec.method,
     )
-    try:
-        lock = predict_lock_range(
-            nonlinearity,
-            tank,
-            amplitude_window=amplitude_window,
-            df=df,
-            **kwargs,
-        )
-        return lock, "ok", None, ""
-    except recoverable as exc:
-        first_fault = exc
+    if first is None:
+        try:
+            first = predict_lock_range(nonlinearity, tank, **kwargs)
+        except recoverable as exc:
+            first = exc
+    if not isinstance(first, Exception):
+        return first, "ok", None, ""
+    first_fault = first
     if spec.escalate:
         metrics.inc("sweep.escalations")
         try:
@@ -229,22 +235,27 @@ def run_sweep(
                     method=spec.method,
                 )
 
+                firsts = predict_lock_ranges(
+                    nonlinearity,
+                    tank,
+                    v_is=group.v_is,
+                    n=group.n,
+                    amplitude_window=window,
+                    n_a=spec.n_a,
+                    n_phi=spec.n_phi,
+                    n_samples=spec.n_samples,
+                    method=spec.method,
+                    dfs=dfs,
+                )
                 solves: dict[float, tuple] = {}
-                for v_i, df in zip(group.v_is, dfs):
+                for v_i, first in zip(group.v_is, firsts):
                     probe = SweepPoint(
                         family=group.family,
                         n=group.n,
                         v_i=v_i,
                         q_scale=group.q_scale,
                     )
-                    solves[v_i] = _solve_point(
-                        nonlinearity,
-                        tank,
-                        probe,
-                        spec,
-                        amplitude_window=window,
-                        df=df,
-                    )
+                    solves[v_i] = _solve_point(nonlinearity, tank, probe, spec, first)
                     metrics.inc("sweep.lock_solves")
 
                 # Frequency-axis points share their V_i's solve.

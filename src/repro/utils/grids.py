@@ -9,13 +9,14 @@ re-derives indexing arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.utils.validation import check_monotonic, check_positive
 
-__all__ = ["Grid2D", "linear_grid", "log_grid", "refine_bracket"]
+__all__ = ["Grid2D", "brentq_lanes", "linear_grid", "log_grid", "refine_bracket"]
 
 
 def linear_grid(low: float, high: float, n: int) -> np.ndarray:
@@ -157,3 +158,125 @@ def refine_bracket(
         else:
             high, f_high = mid, f_mid
     return 0.5 * (low + high)
+
+
+def brentq_lanes(
+    func,
+    xa: np.ndarray,
+    xb: np.ndarray,
+    fa: np.ndarray,
+    fb: np.ndarray,
+    *,
+    xtol: float = 2e-12,
+    rtol: float = 8.9e-16,
+    maxiter: int = 100,
+) -> np.ndarray:
+    """Brent's method on many independent brackets in lockstep: one root per lane.
+
+    Lane ``i`` solves its own equation on ``[xa[i], xb[i]]``, whose end
+    values ``fa[i]``, ``fb[i]`` the caller already holds (so they are not
+    evaluated again).  ``func(x, lanes)`` returns the residuals of the
+    lanes ``lanes`` (index array into the inputs) at ``x``; every round
+    makes one such call for the lanes still open, and converged lanes drop
+    out.
+
+    Each lane runs :func:`scipy.optimize.brentq`'s loop statement for
+    statement (:func:`_brent_step`) in Python floats — IEEE doubles, as
+    in scipy's C — so every lane returns bitwise the root ``brentq``
+    returns for it with the same tolerances.  The lane state stays in
+    floats rather than numpy lane arrays because a step is a few dozen
+    scalar operations: on the handful of lanes a lock solve has, one numpy
+    operation costs about as much as a whole scalar step.  Like
+    ``brentq`` it raises ``ValueError`` on a bracket without a sign change
+    or a NaN residual, and ``RuntimeError`` when a lane has not converged
+    after ``maxiter`` rounds.
+    """
+    roots = np.empty(len(xa))
+    open_: dict[int, list[float]] = {}
+    ends = np.asarray([xa, xb, fa, fb], dtype=float).T.tolist()
+    for lane, (xpre, xcur, fpre, fcur) in enumerate(ends):
+        if fpre != fpre or fcur != fcur:
+            raise ValueError("brentq_lanes: residual is NaN at a bracket end")
+        if fpre == 0.0:
+            roots[lane] = xpre
+        elif fcur == 0.0:
+            roots[lane] = xcur
+        elif (fpre < 0.0) == (fcur < 0.0):
+            raise ValueError(
+                "brentq_lanes: f(a) and f(b) must have different signs"
+            )
+        else:
+            open_[lane] = [xpre, xcur, 0.0, fpre, fcur, 0.0, 0.0, 0.0]
+    for _ in range(maxiter):
+        for lane, state in list(open_.items()):
+            if _brent_step(state, xtol, rtol):
+                roots[lane] = state[1]
+                del open_[lane]
+        if not open_:
+            return roots
+        values = func(
+            np.array([state[1] for state in open_.values()]), np.array(list(open_))
+        )
+        values = np.asarray(values, dtype=float).tolist()
+        for state, value in zip(open_.values(), values):
+            if value != value:
+                raise ValueError("brentq_lanes: residual is NaN")
+            state[4] = value
+    if open_:
+        raise RuntimeError(
+            f"brentq_lanes: failed to converge after {maxiter} iterations"
+        )
+    return roots
+
+
+def _brent_step(state: list[float], xtol: float, rtol: float) -> bool:
+    """One pass of scipy's ``brentq`` loop body on one lane's state.
+
+    ``state`` is ``[xpre, xcur, xblk, fpre, fcur, fblk, spre, scur]`` with
+    ``fcur`` the residual at ``xcur``.  Returns True when the lane has
+    converged (its root is ``state[1]``); otherwise moves ``xcur`` to the
+    next abscissa to evaluate.  Nonzero ``fpre``/``fcur`` make the sign
+    tests ``< 0`` equal to C's ``signbit``; a division by zero, which C
+    turns into an infinite or NaN trial step, fails the step test and
+    bisects here too.
+    """
+    xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = state
+    if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+        xblk, fblk = xpre, fpre
+        spre = scur = xcur - xpre
+    if abs(fblk) < abs(fcur):
+        xpre, xcur, xblk = xcur, xblk, xcur
+        fpre, fcur, fblk = fcur, fblk, fcur
+    delta = (xtol + rtol * abs(xcur)) / 2
+    sbis = (xblk - xcur) / 2
+    if fcur == 0.0 or abs(sbis) < delta:
+        state[1] = xcur
+        return True
+    if abs(spre) > delta and abs(fcur) < abs(fpre):
+        try:
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (
+                    -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                )
+        except ZeroDivisionError:
+            stry = math.inf
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            # good short step
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+    else:
+        spre = scur = sbis
+    xpre, fpre = xcur, fcur
+    if abs(scur) > delta:
+        xcur += scur
+    else:
+        xcur += delta if sbis > 0 else -delta
+    state[:] = [xpre, xcur, xblk, fpre, fcur, fblk, spre, scur]
+    return False

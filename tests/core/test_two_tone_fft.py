@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from repro.core.describing_function import fundamental_coefficient
+from repro.core.natural import lock_grid
 from repro.core.two_tone import (
+    SurfaceStack,
     TwoToneDF,
     TwoToneSurface,
     two_tone_fundamental,
@@ -26,6 +28,7 @@ from repro.nonlin import (
     NegativeTanh,
     TabulatedNonlinearity,
 )
+from repro.verify.scenarios import build_oscillator
 
 N_SAMPLES = 512
 ACCEPTANCE_ATOL = 1e-9
@@ -170,10 +173,10 @@ class TestEvaluator:
         df = TwoToneDF(tanh_nonlinearity, 0.03, 3, n_samples=N_SAMPLES)
         amplitudes = np.linspace(0.4, 1.7, 40)
         phis = np.linspace(0.05, 2.0 * np.pi + 0.05, 41)
-        evaluate = df.i1_evaluator(amplitudes, phis)
+        stack = SurfaceStack([df.i1_source(amplitudes, phis)])
         a = np.asarray([0.55, 0.9712, 1.433])
         p = np.asarray([0.3, 2.111, 5.9])
-        got = evaluate(a, p)
+        got = stack.bind(p, np.zeros(p.size, dtype=int))(a)
         want = df.i1(a, p)
         assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
@@ -195,3 +198,49 @@ class TestBatch:
             surface = df.surface(amplitudes)
             assert surface.v_i == df.v_i == v_i
             assert np.array_equal(surface.coefficients, reference.coefficients)
+
+
+class TestSurfaceStack:
+    """One stacked evaluator == every member surface's own ``i1_at``, bitwise."""
+
+    @staticmethod
+    def _assert_stack_matches_members(family: str, v_is, n: int = 3):
+        nonlinearity, tank = build_oscillator(family)
+        window, amplitudes, phis = lock_grid(nonlinearity, tank, n_a=61, n_phi=121)
+        dfs = TwoToneDF.batch(nonlinearity, v_is, n, amplitudes)
+        surfaces = [df.i1_source(amplitudes, phis) for df in dfs]
+        assert all(isinstance(s, TwoToneSurface) for s in surfaces)
+        stack = SurfaceStack(surfaces)
+        rng = np.random.default_rng(7)
+        size = 64
+        a = rng.uniform(*window, size)
+        p = rng.uniform(0.0, 2.0 * np.pi, size)
+        members = rng.integers(0, len(v_is), size)
+        at = stack.bind(p, members)
+        got = at(a)
+        for j, surface in enumerate(surfaces):
+            mine = members == j
+            assert np.array_equal(got[mine], surface.i1_at(a[mine], p[mine]))
+            # One point at a time, as a scalar root search would ask.
+            for k in np.nonzero(mine)[0][:4]:
+                assert got[k] == surface.i1_at(a[k : k + 1], p[k : k + 1])[0]
+        # A subset of points at other amplitudes reuses the bound phases.
+        subset = np.arange(0, size, 5)
+        fresh = stack.bind(p[subset], members[subset])
+        assert np.array_equal(at(1.01 * a[subset], subset), fresh(1.01 * a[subset]))
+        return surfaces
+
+    def test_tanh_group(self):
+        self._assert_stack_matches_members("tanh", [0.018, 0.03, 0.042])
+
+    def test_tunnel_group(self):
+        self._assert_stack_matches_members("tunnel", [0.02, 0.03])
+
+    def test_group_wider_than_one_spline(self):
+        # More members than one stacked spline carries: several splines.
+        self._assert_stack_matches_members("tanh", list(np.linspace(0.01, 0.05, 11)))
+
+    def test_group_with_different_k_orders(self):
+        # V_i = 0.6 needs a finer psi grid than 0.03: two spline stacks.
+        surfaces = self._assert_stack_matches_members("tanh", [0.03, 0.6])
+        assert surfaces[0].k_orders.size != surfaces[1].k_orders.size

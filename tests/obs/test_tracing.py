@@ -50,6 +50,23 @@ class TestNesting:
             assert current_span() is outer
         assert current_span() is NOOP_SPAN
 
+    def test_span_open_across_a_buffer_reset_keeps_a_unique_id(self, clean_obs):
+        # Alternating trace windows (the benchmark's traced serve runs)
+        # reset the buffer while a job's span is still open; it then
+        # finishes into the next buffer, whose spans must not reuse its id.
+        tracer.enable()
+        with trace("window-1"):
+            pass
+        stale = trace("long-job").__enter__()
+        tracer.clear()
+        tracer.enable()
+        with trace("window-2"):
+            with trace("child"):
+                pass
+        stale.__exit__(None, None, None)
+        ids = [r["span_id"] for r in tracer.records()]
+        assert len(ids) == len(set(ids)) == 3
+
     def test_sibling_spans_share_parent(self, clean_obs):
         tracer.enable()
         with trace("parent"):

@@ -115,6 +115,21 @@ class TestEviction:
         # The most recent records survive.
         assert cache.get(keys[-1]) is not None
 
+    def test_record_evicted_by_another_process_is_skipped(self, tmp_path, monkeypatch):
+        # Worker processes share one store: a record listed for eviction
+        # may be unlinked by another process before its mtime is read.
+        cache = SurfaceCache(tmp_path, max_entries=3)
+        keys = [f"{i:02d}" * 32 for i in range(4)]
+        for i, key in enumerate(keys[:3]):
+            cache.put(key, {"x": np.asarray([float(i)])})
+        listed = cache._records
+        gone = cache.path_for("ff" * 32)
+        monkeypatch.setattr(cache, "_records", lambda: listed() + [gone])
+        cache.put(keys[3], {"x": np.asarray([3.0])})
+        monkeypatch.undo()
+        assert len(cache) == 3
+        assert cache.get(keys[0]) is None and cache.get(keys[3]) is not None
+
     def test_clear(self, cache):
         cache.put(KEY_A, {"x": np.arange(3.0)})
         cache.put(KEY_B, {"x": np.arange(4.0)})

@@ -90,6 +90,33 @@ class TestBitForBit:
                 assert b.lock.injection_upper == p.lock.injection_upper
 
 
+class TestGroupsBitForBit:
+    """Multi-``V_i`` groups of the slow families, lane for lane.
+
+    One ``run_sweep`` call solves each family's two ``V_i`` as one group:
+    their edges refine in lockstep through one stacked evaluator — on
+    diffpair through the dense-grid fallback evaluators, whose laws never
+    converge in psi.  Each row must still be the scalar call's floats.
+    """
+
+    def test_diffpair_and_tunnel_groups_match_scalar_exactly(self):
+        points = (
+            SweepPoint(family="diffpair", n=3, v_i=0.015),
+            SweepPoint(family="diffpair", n=3, v_i=0.035),
+            SweepPoint(family="tunnel", n=2, v_i=0.012),
+            SweepPoint(family="tunnel", n=2, v_i=0.025),
+        )
+        spec = SweepSpec(name="groups", points=points, escalate=False, **FAST)
+        result = run_sweep(spec)
+        assert result.n_groups == 2
+        for outcome in result.outcomes:
+            reference = _scalar_reference(outcome.point, spec)
+            assert outcome.status == "ok", outcome
+            assert outcome.lock.injection_lower == reference.injection_lower
+            assert outcome.lock.injection_upper == reference.injection_upper
+            assert outcome.lock.samples == reference.samples
+
+
 class TestPropertyTanh:
     @settings(max_examples=5, deadline=None)
     @given(
