@@ -90,9 +90,14 @@ __all__ = [
     "TwoToneDF",
 ]
 
-#: Maximum number of scalar f-evaluations per vectorised chunk; keeps the
-#: intermediate (points, n_samples) arrays comfortably in cache/RAM.
-_CHUNK_BUDGET = 4_000_000
+#: Scalar f-evaluations per block of a pre-characterisation pass.  Both
+#: passes (the stacked FFT surface pass and the dense quadrature) stream
+#: their points through blocks of this size, so each block's input, law
+#: output and spectrum stay in L2 instead of round-tripping through RAM:
+#: 4 rows of a 256 x 32 surface pass, or 128 points of the 256-sample
+#: dense quadrature.  Every point is computed on its own, so the block
+#: size changes no number.
+_BLOCK_EVALS = 32_768
 
 #: Smallest / largest psi-sample counts tried by the adaptive surface
 #: builder.  32 already reaches machine precision for the analytic device
@@ -176,10 +181,14 @@ def two_tone_fundamental(
 
     n_points = a_flat.size
     result = np.empty(n_points, dtype=complex)
-    chunk = max(1, _CHUNK_BUDGET // n_samples)
+    # A one-point block would take numpy's dot kernel, whose summation
+    # order differs from the matrix-vector kernel of every larger block; so
+    # blocks hold at least two points and a lone last point joins the block
+    # before it.  Then no point's value depends on the block size.
+    block = max(2, _BLOCK_EVALS // n_samples)
+    starts = range(0, max(n_points - 1, 1), block)
     two_vi = 2.0 * v_i
-    for start in range(0, n_points, chunk):
-        stop = min(start + chunk, n_points)
+    for start, stop in zip(starts, [*starts[1:], n_points]):
         a = a_flat[start:stop, None]
         cos_p = np.cos(p_flat[start:stop])[:, None]
         sin_p = np.sin(p_flat[start:stop])[:, None]
@@ -234,6 +243,15 @@ def _stacked_coefficients(
     (theta, psi) only, a row's coefficients do not depend on which other
     rows share the pass — a batch of one and a whole sweep grid produce
     bitwise identical numbers.
+
+    The rows stream through blocks of ``_BLOCK_EVALS // (S_theta * S_psi)``
+    rows (at least one), so a block's ``v_in``, ``g`` and complex spectrum
+    stay in L2 whatever the row count: the pass is bound by memory traffic,
+    and a 4-``V_i`` x 121-row build peaks at about 4 MB.  The
+    ``1 / (S_theta S_psi)`` scale is applied to the gathered diagonal
+    slices only (one value per kept ``(m, k)``, not per spectrum bin);
+    division is elementwise, so the result is bitwise that of scaling the
+    whole spectrum.
     """
     s = int(n_samples)
     p = int(n_psi)
@@ -251,7 +269,7 @@ def _stacked_coefficients(
     two_vis = 2.0 * v_is
     n_rows = amplitudes.size
     coeffs = np.empty((m_orders.size, n_rows, k_orders.size), dtype=complex)
-    rows = max(1, _CHUNK_BUDGET // (s * p))
+    rows = max(1, _BLOCK_EVALS // (s * p))
     for start in range(0, n_rows, rows):
         stop = min(start + rows, n_rows)
         v_in = (
@@ -259,9 +277,9 @@ def _stacked_coefficients(
             + two_vis[start:stop, None, None] * cos_psi[None, None, :]
         )
         g = np.asarray(nonlinearity(v_in), dtype=float)
-        spectrum = np.fft.fft2(g, axes=(1, 2)) / (s * p)
+        spectrum = np.fft.fft2(g, axes=(1, 2))
         coeffs[:, start:stop, :] = np.transpose(
-            spectrum[:, m_idx, k_idx], (1, 0, 2)
+            spectrum[:, m_idx, k_idx] / (s * p), (1, 0, 2)
         )
     return k_orders, coeffs
 

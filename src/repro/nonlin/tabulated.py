@@ -65,11 +65,16 @@ class LinearTableNonlinearity(Nonlinearity):
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        out = np.interp(v, self._v, self._i)
-        # Linear extrapolation beyond the table (np.interp clamps).
+        # np.interp returns a NumPy scalar for 0-d input; the masked
+        # assignments below need an array.
+        out = np.asarray(np.interp(v, self._v, self._i))
+        # Linear extrapolation beyond the table (np.interp clamps), on the
+        # out-of-table points only: most drive grids never leave the table.
         lo, hi = self._v[0], self._v[-1]
-        out = np.where(v < lo, self._i[0] + self._slope_lo * (v - lo), out)
-        out = np.where(v > hi, self._i[-1] + self._slope_hi * (v - hi), out)
+        below = v < lo
+        above = v > hi
+        out[below] = self._i[0] + self._slope_lo * (v[below] - lo)
+        out[above] = self._i[-1] + self._slope_hi * (v[above] - hi)
         return out
 
     def derivative(self, v: np.ndarray) -> np.ndarray:

@@ -9,17 +9,23 @@ too slowly) must be detected and routed to the dense fallback
 automatically.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core import two_tone
 from repro.core.describing_function import fundamental_coefficient
 from repro.core.natural import lock_grid
 from repro.core.two_tone import (
     SurfaceStack,
     TwoToneDF,
     TwoToneSurface,
+    _mirror_aware_dense_grid,
+    _stacked_coefficients,
     two_tone_fundamental,
     two_tone_surface,
+    two_tone_surfaces_stacked,
 )
 from repro.nonlin import (
     BiasedTunnelDiode,
@@ -244,3 +250,81 @@ class TestSurfaceStack:
         # V_i = 0.6 needs a finer psi grid than 0.03: two spline stacks.
         surfaces = self._assert_stack_matches_members("tanh", [0.03, 0.6])
         assert surfaces[0].k_orders.size != surfaces[1].k_orders.size
+
+
+#: Block sizes at the two extremes: 1 f-evaluation rounds up to one row
+#: (one point) per block; 10**9 puts every row (point) in one block.
+EXTREME_BLOCKS = [1, 10**9]
+
+
+class TestBlockedPasses:
+    """The block size of a pre-characterisation pass changes no number."""
+
+    @pytest.mark.parametrize("family", ["tanh", "tunnel"])
+    @pytest.mark.parametrize("n_psi", [32, 64])
+    def test_stacked_coefficients_bitwise_across_blocks(
+        self, family, n_psi, monkeypatch
+    ):
+        nonlinearity, tank = build_oscillator(family)
+        _, amplitudes, _ = lock_grid(nonlinearity, tank, n_a=21, n_phi=41)
+        v_is = [0.02, 0.04]
+        args = (
+            nonlinearity, np.tile(amplitudes, len(v_is)),
+            np.repeat(v_is, amplitudes.size), 3, 256, n_psi, np.arange(1, 9),
+        )
+        want_k, want = _stacked_coefficients(*args)
+        for evals in EXTREME_BLOCKS:
+            monkeypatch.setattr(two_tone, "_BLOCK_EVALS", evals)
+            k_orders, coefficients = _stacked_coefficients(*args)
+            assert np.array_equal(k_orders, want_k)
+            assert np.array_equal(coefficients, want)
+
+    def test_dense_quadrature_bitwise_across_blocks(self, monkeypatch):
+        # 21 x 41 = 861 points: two-point blocks leave a lone last point.
+        nonlinearity, tank = build_oscillator("diffpair")
+        _, amplitudes, phis = lock_grid(nonlinearity, tank, n_a=21, n_phi=41)
+        a, p = amplitudes[:, None], phis[None, :]
+        want = two_tone_fundamental(nonlinearity, a, 0.03, p, 3, 256)
+        for evals in EXTREME_BLOCKS:
+            monkeypatch.setattr(two_tone, "_BLOCK_EVALS", evals)
+            got = two_tone_fundamental(nonlinearity, a, 0.03, p, 3, 256)
+            assert np.array_equal(got, want)
+
+
+def _peak_bytes(fn) -> int:
+    """Peak traced allocation (bytes) while ``fn()`` runs."""
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not outer:
+            tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Blocked passes stay far below one whole-grid block's footprint
+    (about 190 MB and 125 MB for these two grids; 4 MB and 2 MB in
+    blocks)."""
+
+    LIMIT_BYTES = 16e6
+
+    def test_stacked_surface_build(self):
+        nonlinearity, tank = build_oscillator("tanh")
+        _, amplitudes, _ = lock_grid(nonlinearity, tank, n_a=121, n_phi=241)
+        v_is = [0.018, 0.027, 0.033, 0.042]
+        peak = _peak_bytes(
+            lambda: two_tone_surfaces_stacked(nonlinearity, amplitudes, v_is, 3)
+        )
+        assert peak < self.LIMIT_BYTES
+
+    def test_dense_grid(self):
+        nonlinearity, tank = build_oscillator("diffpair")
+        _, amplitudes, phis = lock_grid(nonlinearity, tank, n_a=121, n_phi=241)
+        df = TwoToneDF(nonlinearity, 0.03, 3)
+        peak = _peak_bytes(lambda: _mirror_aware_dense_grid(df.i1, amplitudes, phis))
+        assert peak < self.LIMIT_BYTES

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.nonlin import NegativeTanh, TabulatedNonlinearity
 from repro.nonlin.tabulated import LinearTableNonlinearity
@@ -113,3 +114,46 @@ class TestLinearTableNonlinearity:
         lo = float(f(np.asarray(v - 0.005)))
         hi = float(f(np.asarray(v + 0.005)))
         assert min(lo, hi) - 1e-12 <= value <= max(lo, hi) + 1e-12
+
+
+#: Knots of the table-law property test: the two end knots are exact
+#: inputs the strategy draws.
+_KNOTS_V = np.linspace(-0.8, 0.8, 33)
+_KNOTS_I = np.tanh(3.0 * _KNOTS_V) - 0.2 * _KNOTS_V
+
+
+def _two_where_law(v):
+    """The table law as two full ``np.where`` passes: the reference formula."""
+    v = np.asarray(v, dtype=float)
+    out = np.interp(v, _KNOTS_V, _KNOTS_I)
+    lo, hi = _KNOTS_V[0], _KNOTS_V[-1]
+    slope_lo = (_KNOTS_I[1] - _KNOTS_I[0]) / (_KNOTS_V[1] - _KNOTS_V[0])
+    slope_hi = (_KNOTS_I[-1] - _KNOTS_I[-2]) / (_KNOTS_V[-1] - _KNOTS_V[-2])
+    out = np.where(v < lo, _KNOTS_I[0] + slope_lo * (v - lo), out)
+    return np.where(v > hi, _KNOTS_I[-1] + slope_hi * (v - hi), out)
+
+
+class TestLinearTableLawBitwise:
+    """Masked extrapolation equals the two-``np.where`` formula bitwise."""
+
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=0, max_dims=2, max_side=12),
+            elements=st.one_of(
+                st.floats(min_value=-2.0, max_value=2.0),
+                st.sampled_from([float(_KNOTS_V[0]), float(_KNOTS_V[-1])]),
+            ),
+        )
+    )
+    def test_matches_two_where_formula(self, v):
+        got = LinearTableNonlinearity(_KNOTS_V, _KNOTS_I)(v)
+        want = _two_where_law(v)
+        assert isinstance(got, np.ndarray)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.floats(min_value=-2.0, max_value=2.0))
+    def test_python_float_input(self, v):
+        got = LinearTableNonlinearity(_KNOTS_V, _KNOTS_I)(v)
+        assert got.shape == () and got.tobytes() == _two_where_law(v).tobytes()
