@@ -18,7 +18,9 @@ This finds the complete lock range in exactly one pass — "it does not
 involve many iterations ... but finds solutions in exactly one pass".
 :func:`predict_lock_ranges` takes that pass for a whole ``V_i`` set (a
 tongue map's rows) and refines every edge of the set in lockstep, one
-surface evaluation per iteration for all of them.  The
+evaluator call per iteration for all of them.  The walk does not depend on
+how ``I_1`` is evaluated: ``method`` only picks the evaluator the one
+solver runs on (FFT surface or exact quadrature).  The
 naive alternative (bisection over frequency, one full lock-state solve per
 probe) is also provided for the ablation benchmark.
 """
@@ -29,19 +31,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.averaging import SlowFlow
 from repro.core.curves import extract_level_curves
 from repro.core.describing_function import DEFAULT_SAMPLES
 from repro.core.natural import lock_grid
 from repro.core.shil import solve_lock_states
-from repro.core.stability import classify_by_jacobian
 from repro.core.two_tone import SurfaceStack, TwoToneDF
 from repro.nonlin.base import Nonlinearity
 from repro.obs import metrics, trace
 from repro.robust.diagnostics import record_fault
 from repro.robust.faults import SolveFault
 from repro.tank.base import PhaseInversionError, Tank
-from repro.utils.grids import brentq_lanes, refine_bracket
+from repro.utils.grids import brentq_lanes
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -150,80 +150,17 @@ class NoLockError(RuntimeError):
     """Raised when no stable lock exists at any frequency for this injection."""
 
 
-def _solve_amplitude_on_curve(
-    df: TwoToneDF,
-    tank_r: float,
-    phi: float,
-    a_seed: float,
-    a_window: tuple[float, float],
-) -> float | None:
-    """Re-solve ``T_f(A, phi) = 1`` in A near a seed (exact quadrature)."""
+def _solve_amplitudes(
+    residual, seeds: np.ndarray, a_window: tuple[float, float]
+) -> np.ndarray:
+    """Solve ``residual(a, points) = 0`` in A near each point's seed.
 
-    def residual(a: float) -> float:
-        return float(df.tf(a, phi, tank_r)) - 1.0
-
-    lo, hi = a_window
-    span = 0.05 * (hi - lo)
-    a_lo = max(lo, a_seed - span)
-    a_hi = min(hi, a_seed + span)
-    r_lo, r_hi = residual(a_lo), residual(a_hi)
-    for _ in range(6):
-        if np.sign(r_lo) != np.sign(r_hi):
-            return refine_bracket(residual, a_lo, a_hi, tol=1e-13)
-        a_lo = max(lo, a_lo - span)
-        a_hi = min(hi, a_hi + span)
-        r_lo, r_hi = residual(a_lo), residual(a_hi)
-        if a_lo == lo and a_hi == hi:
-            break
-    return None
-
-
-def _point_at_phi(
-    df: TwoToneDF,
-    tank: Tank,
-    phi: float,
-    a_seed: float,
-    a_window: tuple[float, float],
-) -> LockRangePoint | None:
-    """Build the lock-range point of the invariant curve at abscissa ``phi``."""
-    tank_r = tank.peak_resistance
-    amplitude = _solve_amplitude_on_curve(df, tank_r, phi, a_seed, a_window)
-    if amplitude is None:
-        return None
-    i1 = complex(df.i1(amplitude, phi))
-    phi_d = float(-np.angle(-i1))
-    if abs(phi_d) >= _PHI_D_LIMIT:
-        return None
-    try:
-        w_i = tank.frequency_for_phase(phi_d)
-    except PhaseInversionError as exc:
-        # The point exists on the invariant curve but no operating
-        # frequency realises its tank phase: drop it, but leave a trace.
-        record_fault(
-            SolveFault(
-                "phase-inversion-out-of-range",
-                "lock-range",
-                str(exc),
-                context={"phi": float(phi), "phi_d": phi_d},
-            )
-        )
-        return None
-    flow = SlowFlow(df, tank, w_i)
-    verdict = classify_by_jacobian(flow, amplitude, phi)
-    return LockRangePoint(
-        phi=float(phi),
-        amplitude=float(amplitude),
-        phi_d=phi_d,
-        w_i=float(w_i),
-        stable=verdict.stable,
-    )
-
-
-def _bracket_amplitudes(residual, seeds: np.ndarray, a_window: tuple[float, float]):
-    """Bracket ``residual(a, points) = 0`` around each seed, widening up to six times.
-
-    Returns ``(a_lo, a_hi, r_lo, r_hi)``; each widening re-evaluates only
-    the points still without a sign change (both ends in one call).
+    The one root search of the lock solve, for curve points and edge
+    probes alike.  Each seed's bracket ``seed +- 5 %`` of the window widens
+    up to six times; a widening re-evaluates only the points still without
+    a sign change (both ends in one call).  Then Brent runs in lockstep
+    over the bracketed points (:func:`~repro.utils.grids.brentq_lanes`),
+    reusing the bracket residuals.  Unbracketed points come back as NaN.
     """
     lo, hi = a_window
     span = 0.05 * (hi - lo)
@@ -243,42 +180,15 @@ def _bracket_amplitudes(residual, seeds: np.ndarray, a_window: tuple[float, floa
         r_lo[g], r_hi[g] = np.split(
             residual(np.concatenate([a_lo[g], a_hi[g]]), np.concatenate([g, g])), 2
         )
-    return a_lo, a_hi, r_lo, r_hi
-
-
-def _bisect_amplitudes(residual, a_lo, a_hi, r_lo, r_hi, *, tol: float = 1e-13):
-    """The curve solve's root search: bisection synchronised over all
-    bracketed points, each step until every one of them has converged.
-    Unbracketed points come back as NaN."""
     points = np.nonzero(np.sign(r_lo) != np.sign(r_hi))[0]
-    lo_v, hi_v, f_lo = a_lo[points], a_hi[points], r_lo[points]
-    for _ in range(200):
-        mid = 0.5 * (lo_v + hi_v)
-        if bool(np.all((hi_v - lo_v) < tol * np.maximum(1.0, np.abs(mid)))):
-            break
-        f_mid = residual(mid, points)
-        take_low = np.sign(f_mid) == np.sign(f_lo)
-        lo_v = np.where(take_low, mid, lo_v)
-        f_lo = np.where(take_low, f_mid, f_lo)
-        hi_v = np.where(take_low, hi_v, mid)
-    solution = np.full(a_lo.size, np.nan)
-    solution[points] = 0.5 * (lo_v + hi_v)
-    return solution
-
-
-def _brent_amplitudes(residual, a_lo, a_hi, r_lo, r_hi, *, tol: float = 1e-13):
-    """The edge probes' root search: Brent in lockstep over the bracketed
-    points, reusing the bracket residuals.  Unbracketed points come back
-    as NaN."""
-    points = np.nonzero(np.sign(r_lo) != np.sign(r_hi))[0]
-    solution = np.full(a_lo.size, np.nan)
+    solution = np.full(seeds.size, np.nan)
     solution[points] = brentq_lanes(
         lambda a, lanes: residual(a, points[lanes]),
         a_lo[points],
         a_hi[points],
         r_lo[points],
         r_hi[points],
-        xtol=tol,
+        xtol=1e-13,
         rtol=8.9e-16,
     )
     return solution
@@ -293,19 +203,20 @@ def _curve_points(
     seeds: np.ndarray,
     a_window: tuple[float, float],
     *,
-    solve,
     with_stability: bool,
 ):
-    """Vectorised :func:`_point_at_phi` over many curve points.
+    """Solve many points of the invariant ``T_f = 1`` curve as lock states.
 
     Point ``p`` lies on member ``members[p]`` of ``stack`` at abscissa
-    ``phis[p]``, seeded at amplitude ``seeds[p]``.  Amplitude solve
-    (``solve``: :func:`_bisect_amplitudes` or :func:`_brent_amplitudes`),
-    ``phi_d`` extraction and the stability Jacobian all run batched through
-    the surface evaluator; only the (cheap, analytic) tank phase inversion
-    stays per point.  The stability rule is the same eigenvalue criterion
-    as :func:`classify_by_jacobian`, expressed as ``trace < 0 and det > 0``
-    — equivalent for a real 2x2 system.  Returns the arrays
+    ``phis[p]``, seeded at amplitude ``seeds[p]``.  The amplitude solve
+    (:func:`_solve_amplitudes`), ``phi_d = -angle(-I_1)`` and the stability
+    Jacobian all run batched through ``stack``, whatever evaluates its
+    members' ``I_1`` (an FFT surface, a dense-grid spline or the exact
+    quadrature); only the (cheap, analytic) tank phase inversion stays per
+    point.  The stability rule is the eigenvalue criterion of
+    :func:`~repro.core.stability.classify_by_jacobian`, expressed as
+    ``trace < 0 and det > 0`` — equivalent for a real 2x2 system.  Returns
+    the arrays
     ``(amplitudes, phi_d, w_i, valid, stable)``.
     """
     tank_r = tank.peak_resistance
@@ -315,7 +226,7 @@ def _curve_points(
         i1x = np.real(at_phis(a, points))
         return -tank_r * i1x / (a / 2.0) - 1.0
 
-    amplitudes = solve(residual, *_bracket_amplitudes(residual, seeds, a_window))
+    amplitudes = _solve_amplitudes(residual, seeds, a_window)
     valid = np.isfinite(amplitudes)
     safe_a = np.where(valid, amplitudes, 1.0)
 
@@ -453,76 +364,53 @@ def _edge_lanes(member: int, samples, stable) -> list[_Lane | LockRangePoint]:
 
 def _refine_lanes(
     lanes: list[_Lane],
-    dfs: list[TwoToneDF],
     sources: dict,
     tank: Tank,
     n: int,
     a_window: tuple[float, float],
-    method: str,
 ) -> list[LockRangePoint]:
     """Refine every lane's edge in lockstep; one evaluator call per round.
 
-    ``fft``: every probe and the final stability points of all lanes go
-    through one :class:`~repro.core.two_tone.SurfaceStack` over the lanes'
-    ``V_i``; ``dense``: each probe is the scalar exact-quadrature
-    :func:`_point_at_phi`.  A refined edge replaces the lane's best sample
-    only when it moves the edge outward.
+    Every probe and the final stability points of all lanes go through one
+    :class:`~repro.core.two_tone.SurfaceStack` over the lanes' ``V_i``
+    sources.  A refined edge replaces the lane's best sample only when it
+    moves the edge outward.
     """
     if not lanes:
         return []
     signs = np.array([lane.sign for lane in lanes])
     seeds = np.array([lane.best.amplitude for lane in lanes])
-    if method == "fft":
-        alive = sorted({lane.member for lane in lanes})
-        stack = SurfaceStack([sources[j] for j in alive])
-        members = np.array([alive.index(lane.member) for lane in lanes])
+    alive = sorted({lane.member for lane in lanes})
+    stack = SurfaceStack([sources[j] for j in alive])
+    members = np.array([alive.index(lane.member) for lane in lanes])
 
-        def solve(phis, lanes_at, *, with_stability=False):
-            return _curve_points(
-                stack,
-                members[lanes_at],
-                tank,
-                n,
-                phis,
-                seeds[lanes_at],
-                a_window,
-                solve=_brent_amplitudes,
-                with_stability=with_stability,
-            )
+    def solve(phis, lanes_at, *, with_stability=False):
+        return _curve_points(
+            stack,
+            members[lanes_at],
+            tank,
+            n,
+            phis,
+            seeds[lanes_at],
+            a_window,
+            with_stability=with_stability,
+        )
 
-        def probe(phis, lanes_at):
-            _, phi_d, _, valid, _ = solve(phis, lanes_at)
-            return np.where(valid, signs[lanes_at] * phi_d, -np.inf)
-
-        def final(phis):
-            everyone = np.arange(len(lanes))
-            return _as_points(phis, solve(phis, everyone, with_stability=True))
-
-    else:
-
-        def point(phi, lane):
-            return _point_at_phi(
-                dfs[lanes[lane].member], tank, float(phi), float(seeds[lane]), a_window
-            )
-
-        def probe(phis, lanes_at):
-            values = [point(phi, lane) for phi, lane in zip(phis, lanes_at)]
-            return np.array(
-                [-np.inf if p is None else signs[lane] * p.phi_d
-                 for p, lane in zip(values, lanes_at)]
-            )
-
-        def final(phis):
-            return [point(phi, lane) for lane, phi in enumerate(phis)]
+    def probe(phis, lanes_at):
+        _, phi_d, _, valid, _ = solve(phis, lanes_at)
+        return np.where(valid, signs[lanes_at] * phi_d, -np.inf)
 
     best_phis = _golden_section(
         [lane.phi_lo for lane in lanes], [lane.phi_hi for lane in lanes], probe
     )
+    refined = _as_points(
+        best_phis, solve(best_phis, np.arange(len(lanes)), with_stability=True)
+    )
     return [
         lane.best
-        if refined is None or lane.sign * refined.phi_d < lane.sign * lane.best.phi_d
-        else refined
-        for lane, refined in zip(lanes, final(best_phis))
+        if point is None or lane.sign * point.phi_d < lane.sign * lane.best.phi_d
+        else point
+        for lane, point in zip(lanes, refined)
     ]
 
 
@@ -535,7 +423,8 @@ def _solve_curve(
 ):
     """One ``V_i``'s pass along its invariant curve: characterise, extract
     ``T_f = 1``, solve every vertex.  Returns ``(samples, source)`` —
-    ``source`` being the DF's ``I_1`` source the edge refinement stacks."""
+    ``source`` being the DF's ``I_1`` source (``TwoToneDF.i1_source``) that
+    the curve solve ran on and the edge refinement stacks."""
     grid = df.characterize(amplitudes, phis, tank.peak_resistance)
     with trace("curve-extraction"):
         tf_curves = extract_level_curves(grid, "tf", 1.0)
@@ -546,29 +435,21 @@ def _solve_curve(
         )
     curve_phis = np.concatenate([np.asarray(c.x, dtype=float) for c in tf_curves])
     curve_seeds = np.concatenate([np.asarray(c.y, dtype=float) for c in tf_curves])
-    source = None
     with trace("curve-solve"):
-        if df.method == "fft":
-            source = df.i1_source(amplitudes, phis)
-            points = _as_points(
+        source = df.i1_source(amplitudes, phis)
+        points = _as_points(
+            curve_phis,
+            _curve_points(
+                SurfaceStack([source]),
+                np.zeros(curve_phis.size, dtype=int),
+                tank,
+                df.n,
                 curve_phis,
-                _curve_points(
-                    SurfaceStack([source]),
-                    np.zeros(curve_phis.size, dtype=int),
-                    tank,
-                    df.n,
-                    curve_phis,
-                    curve_seeds,
-                    a_window,
-                    solve=_bisect_amplitudes,
-                    with_stability=True,
-                ),
-            )
-        else:
-            points = [
-                _point_at_phi(df, tank, float(phi), float(seed), a_window)
-                for phi, seed in zip(curve_phis, curve_seeds)
-            ]
+                curve_seeds,
+                a_window,
+                with_stability=True,
+            ),
+        )
     return [p for p in points if p is not None], source
 
 
@@ -615,8 +496,6 @@ def predict_lock_ranges(
     if int(n) != n or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     n = int(n)
-    if method not in ("fft", "dense"):
-        raise ValueError(f"method must be 'fft' or 'dense', got {method!r}")
     recoverable = _recoverable_exceptions()
     with trace(
         "lockrange",
@@ -697,7 +576,7 @@ def predict_lock_ranges(
             lanes = [e for pair in edges.values() for e in pair if isinstance(e, _Lane)]
             refine_sp.set(lanes=len(lanes))
             refined = iter(
-                _refine_lanes(lanes, dfs, sources, tank, n, amplitude_window, method)
+                _refine_lanes(lanes, sources, tank, n, amplitude_window)
             )
         for j, pair in edges.items():
             edge_low, edge_high = (
@@ -752,12 +631,13 @@ def predict_lock_range(
     n_samples:
         Fourier quadrature resolution.
     method:
-        ``"fft"`` (default): FFT-factorised pre-characterisation plus the
-        batched curve solver — every ``I_1`` query after the surface build
-        costs zero nonlinearity calls.  ``"dense"``: the direct-quadrature
-        referee path (scalar solves, exact ``I_1`` everywhere) kept as the
-        ablation baseline; both methods agree to solver tolerance on
-        smooth laws.
+        Which ``I_1`` evaluator the one solver runs on.  ``"fft"``
+        (default): FFT-factorised pre-characterisation, and every ``I_1``
+        query after the surface build costs zero nonlinearity calls.
+        ``"dense"``: the direct-quadrature referee — the grid is the full
+        quadrature and every solver query is the exact ``I_1``, so it
+        checks the pre-characterisation independently; both methods agree
+        to solver tolerance on smooth laws.
     df:
         A pre-built :class:`~repro.core.two_tone.TwoToneDF` to solve on,
         passed on as ``predict_lock_ranges(dfs=[df])``; it must match

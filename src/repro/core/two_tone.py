@@ -718,8 +718,8 @@ class TwoToneSurface:
         """``I_m`` at arbitrary (broadcastable) ``(A, phi)`` points.
 
         Off-grid amplitudes are spline-interpolated; no nonlinearity calls
-        are made.  Intended for the solver hot paths (bisection along the
-        invariant curve, stability Jacobians, golden-section edge
+        are made.  Intended for the solver hot paths (root searches along
+        the invariant curve, stability Jacobians, golden-section edge
         refinement).
         """
         amplitude = np.asarray(amplitude, dtype=float)
@@ -779,15 +779,18 @@ class SurfaceStack:
     ``sources`` holds one entry per member (say, one per ``V_i`` of a
     sweep group): a converged :class:`TwoToneSurface`, or any
     ``(amplitude, phi) -> I_1`` callable (:meth:`TwoToneDF.i1_source`
-    gives one or the other).  Surfaces that share their amplitude grid and
-    k-lines are splined together — one ``CubicSpline`` over the stacked
-    ``I_1`` coefficients of up to ``_STACK_WIDTH`` of them — so a call
-    costs one spline evaluation per stack its points touch; each point
-    then reads its own member's columns.  The spline solve and the
+    gives one or the other).  It is the lock-range solver's only view of
+    ``I_1``, so one solver runs on FFT surfaces, dense-grid splines and
+    the exact quadrature alike.  Surfaces that share their amplitude grid
+    and k-lines are splined together — one ``CubicSpline`` over the
+    stacked ``I_1`` coefficients of up to ``_STACK_WIDTH`` of them — so a
+    call costs one spline evaluation per stack its points touch; each
+    point then reads its own member's columns.  The spline solve and the
     piecewise-polynomial evaluation act column by column, and the k axis
     is never padded, so every value is bitwise the member surface's own
-    :meth:`~TwoToneSurface.i1_at`.  Callables (dense-grid fallbacks) and
-    surfaces too coarse for a cubic are evaluated on their own points.
+    :meth:`~TwoToneSurface.i1_at`.  Callables (dense-grid fallbacks, the
+    exact quadrature) and surfaces too coarse for a cubic are evaluated
+    on their own points, one call per member.
     """
 
     def __init__(self, sources) -> None:
@@ -1117,17 +1120,18 @@ class TwoToneDF:
         return grid
 
     def i1_source(self, amplitudes: np.ndarray, phis: np.ndarray):
-        """The fast ``I_1(A, phi)`` source the solver loops evaluate.
+        """The ``I_1(A, phi)`` evaluator the lock-range solver runs on.
 
-        For ``method="fft"`` with a converged surface this is the
+        This is the one place ``method`` reaches the solver.  For
+        ``method="fft"`` with a converged surface it is the
         :class:`TwoToneSurface` itself (evaluated with *zero* nonlinearity
         calls through a coefficient spline).  Otherwise it is a callable
         ``(amplitude, phi) -> complex ndarray``: a bicubic spline over the
         (cached) dense grid when the law's psi-spectrum did not converge,
-        or, for a ``method="dense"`` DF, the exact quadrature (:meth:`i1` —
-        the referee solver path).  :class:`SurfaceStack` takes either
-        form.  Every source is smooth in both arguments, which the
-        bisection/Brent/golden-section refinements in
+        or, for a ``method="dense"`` DF, the exact quadrature (:meth:`i1`),
+        which makes the dense solve a referee of the pre-characterisation.
+        :class:`SurfaceStack` takes either form.  Every source is smooth in
+        both arguments, which the Brent and golden-section refinements in
         :mod:`repro.core.lockrange` rely on.
         """
         if self.method == "dense":

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -19,6 +18,8 @@ from repro.experiments.circuits import (
 )
 from repro.experiments.result import ExperimentResult
 from repro.measure import simulate_lock_range
+from repro.obs import metrics
+from repro.perf import cache_sandbox
 
 __all__ = [
     "run_speedup",
@@ -30,40 +31,45 @@ __all__ = [
 ]
 
 
-def _no_cache_env():
-    """Context values for forcing cold-cache timings."""
-    previous = os.environ.get("REPRO_NO_CACHE")
-    os.environ["REPRO_NO_CACHE"] = "1"
-    return previous
+#: The ``df.evaluations`` labels: the exact quadrature, the FFT surface and
+#: the dense-grid spline fallback.
+_EVALUATORS = ("dense", "fft", "fft-spline")
 
 
-def _restore_cache_env(previous) -> None:
-    if previous is None:
-        os.environ.pop("REPRO_NO_CACHE", None)
-    else:
-        os.environ["REPRO_NO_CACHE"] = previous
+def _timed_prediction(setup, method: str):
+    """One prediction: ``(lock range, wall seconds, {label: df evaluations})``."""
+    before = {
+        label: metrics.counter("df.evaluations", method=label) for label in _EVALUATORS
+    }
+    t0 = time.perf_counter()
+    lock = predict_lock_range(
+        setup.nonlinearity, setup.tank, v_i=setup.v_i, n=setup.n, method=method
+    )
+    seconds = time.perf_counter() - t0
+    evaluations = {
+        label: int(metrics.counter("df.evaluations", method=label) - before[label])
+        for label in _EVALUATORS
+    }
+    return lock, seconds, evaluations
 
 
 def compare_methods(setup) -> dict:
     """Cold dense vs cold FFT vs warm-cache timings for one oscillator.
 
     Returns a JSON-able record: wall-clock of ``predict_lock_range`` under
-    both methods with the disk cache disabled (true cold), the maximum
-    ``|I_1^fft - I_1^dense|`` over the characterisation grid, the relative
-    lock-edge disagreement, and the warm re-characterisation time after
-    the disk cache has been primed.
+    both methods with the disk cache disabled (true cold), the
+    ``df.evaluations`` each of those predictions made per evaluator (so a
+    method's prediction provably ran on its own evaluator only), the
+    maximum ``|I_1^fft - I_1^dense|`` over the characterisation grid, the
+    relative lock-edge disagreement, and the warm re-characterisation time
+    after the disk cache has been primed.
     """
     nonlinearity, tank = setup.nonlinearity, setup.tank
     v_i, n = setup.v_i, setup.n
 
-    previous = _no_cache_env()
-    try:
-        t0 = time.perf_counter()
-        fast = predict_lock_range(nonlinearity, tank, v_i=v_i, n=n, method="fft")
-        t_fft = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        dense = predict_lock_range(nonlinearity, tank, v_i=v_i, n=n, method="dense")
-        t_dense = time.perf_counter() - t0
+    with cache_sandbox(disabled=True):
+        fast, t_fft, fft_evaluations = _timed_prediction(setup, "fft")
+        dense, t_dense, dense_evaluations = _timed_prediction(setup, "dense")
         # Max I_1 deviation over the exact grids the predictor consumed
         # (at its default resolution).
         _, amplitudes, phis = lock_grid(nonlinearity, tank, n_a=121, n_phi=241)
@@ -82,8 +88,6 @@ def compare_methods(setup) -> dict:
                 )
             )
         )
-    finally:
-        _restore_cache_env(previous)
 
     # Prime the disk cache, then time a fresh characterisation that can
     # only hit it (new TwoToneDF instance -> empty in-memory memo).
@@ -101,6 +105,8 @@ def compare_methods(setup) -> dict:
         "t_fft_cold_s": t_fft,
         "t_dense_cold_s": t_dense,
         "speedup_x": t_dense / t_fft,
+        "fft_evaluations": fft_evaluations,
+        "dense_evaluations": dense_evaluations,
         "max_i1_deviation_A": i1_dev,
         "edge_deviation_rel_width": float(edge_dev),
         "t_warm_characterize_s": t_warm,
@@ -162,6 +168,17 @@ def run_speedup(quick: bool = False) -> ExperimentResult:
             f"max |dI_1| {record['max_i1_deviation_A']:.1e} A, "
             f"warm re-char {record['t_warm_characterize_s'] * 1e3:.0f} ms",
         )
+        result.add(
+            f"{fig} df evaluations",
+            "; ".join(
+                f"{method} prediction "
+                + ", ".join(f"{count} {label}" for label, count in record[key].items())
+                for method, key in (
+                    ("fft", "fft_evaluations"),
+                    ("dense", "dense_evaluations"),
+                )
+            ),
+        )
     result.data["methods"] = methods
     return result
 
@@ -174,8 +191,6 @@ def _bench_transient_family(setup, sim_kwargs: dict) -> dict:
     RK4 state-updates per wall second (batch members x steps), read from
     the ``odesim.steps`` counter.
     """
-    from repro.obs import metrics
-
     args = (setup.nonlinearity, setup.tank)
     kwargs = dict(v_i=setup.v_i, n=setup.n, **sim_kwargs)
 
@@ -275,8 +290,7 @@ def run_sweep_bench(quick: bool = False) -> ExperimentResult:
     )
     plan = build_plan(spec)
 
-    previous = _no_cache_env()
-    try:
+    with cache_sandbox(disabled=True):
         t0 = time.perf_counter()
         batched = run_sweep(spec)
         t_batch = time.perf_counter() - t0
@@ -297,8 +311,6 @@ def run_sweep_bench(quick: bool = False) -> ExperimentResult:
         t0 = time.perf_counter()
         scalar = run_sweep_pointwise(subset)
         t_scalar_measured = time.perf_counter() - t0
-    finally:
-        _restore_cache_env(previous)
 
     # Per-point agreement on the measured subset: statuses and locked
     # verdicts must match, lock widths must agree to the declared

@@ -13,7 +13,7 @@ package supplies the plumbing that makes that true across processes:
   ``<cache root>/surfaces/<shard>/<key[:2]>/<key>.npz``, at most 128 per
   shard (oldest evicted first), an 8 MiB in-process LRU and single-flight
   builds; ``REPRO_CACHE_DIR`` moves the root, ``REPRO_NO_CACHE=1`` turns
-  the store off;
+  the store off, and :func:`cache_sandbox` sets both for one block;
 * :mod:`repro.perf.surface_cache` — its per-shard disk tier (atomic
   writes, schema check, quarantine of corrupt records).
 
@@ -28,7 +28,7 @@ from repro.perf.fingerprint import (
     payload_fingerprint,
 )
 from repro.perf.sharded_cache import ShardedSurfaceCache, default_store, using_store
-from repro.perf.surface_cache import SurfaceCache, cache_disabled
+from repro.perf.surface_cache import SurfaceCache, cache_disabled, cache_sandbox
 
 __all__ = [
     "array_hash",
@@ -36,6 +36,7 @@ __all__ = [
     "nonlinearity_fingerprint",
     "payload_fingerprint",
     "cache_disabled",
+    "cache_sandbox",
     "SurfaceCache",
     "ShardedSurfaceCache",
     "default_store",

@@ -28,6 +28,7 @@ and quarantines bump the ``cache.*`` registry counters of the same name.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pathlib
@@ -38,7 +39,7 @@ import numpy as np
 from repro.obs import get_logger, metrics
 from repro.perf.fingerprint import payload_fingerprint
 
-__all__ = ["SurfaceCache", "cache_disabled"]
+__all__ = ["SurfaceCache", "cache_disabled", "cache_sandbox"]
 
 _log = get_logger(__name__)
 
@@ -52,6 +53,34 @@ DEFAULT_MAX_ENTRIES = 128
 def cache_disabled() -> bool:
     """True when ``REPRO_NO_CACHE`` requests a cache-free run."""
     return os.environ.get("REPRO_NO_CACHE", "").strip() not in ("", "0", "false")
+
+
+@contextlib.contextmanager
+def cache_sandbox(root=None, *, disabled: bool = False):
+    """Run a block under its own cache environment, then restore the caller's.
+
+    ``REPRO_CACHE_DIR`` points at ``root`` (left as it is when ``root`` is
+    None) and ``REPRO_NO_CACHE`` is ``"1"`` when ``disabled``, else unset
+    — so a sandboxed block sees a known cache state whatever the ambient
+    one.  Both variables get their previous values (or absence) back on
+    exit, exceptions included.
+    """
+    keys = ("REPRO_CACHE_DIR", "REPRO_NO_CACHE")
+    saved = {key: os.environ.get(key) for key in keys}
+    if root is not None:
+        os.environ["REPRO_CACHE_DIR"] = str(root)
+    if disabled:
+        os.environ["REPRO_NO_CACHE"] = "1"
+    else:
+        os.environ.pop("REPRO_NO_CACHE", None)
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
 
 
 def _default_root() -> pathlib.Path:

@@ -21,7 +21,6 @@ still catching the 2x blow-ups the gate exists for.
 
 from __future__ import annotations
 
-import os
 import pathlib
 import tempfile
 import time
@@ -29,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.obs import metrics, tracer
+from repro.perf import cache_sandbox
 from repro.regress.budgets import (
     BUDGET_SCENARIOS,
     SERVE_SPAN_BUDGETS,
@@ -186,24 +186,12 @@ def _replay(
 
     # A fresh cache root makes the cache.* telemetry the deterministic
     # cold-run profile regardless of ambient state.
-    saved = {
-        key: os.environ.pop(key, None)
-        for key in ("REPRO_CACHE_DIR", "REPRO_NO_CACHE")
-    }
-    try:
-        with tempfile.TemporaryDirectory(prefix="repro-span-gate-") as tmp:
-            os.environ["REPRO_CACHE_DIR"] = tmp
-            # Detach from any ambient CLI span so the replay's spans form
-            # self-contained trees (the written trace must validate on its
-            # own, without the caller's unfinished parents).
-            with tracer.detached():
-                replay_ok = bool(body())
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    with tempfile.TemporaryDirectory(prefix="repro-span-gate-") as tmp:
+        # Detach from any ambient CLI span so the replay's spans form
+        # self-contained trees (the written trace must validate on its
+        # own, without the caller's unfinished parents).
+        with cache_sandbox(tmp), tracer.detached():
+            replay_ok = bool(body())
 
     wall = time.perf_counter() - started
     snap_after = metrics.snapshot()

@@ -30,6 +30,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.perf import cache_sandbox
 from repro.robust.diagnostics import SolveDiagnostics
 from repro.robust.faults import NumericalFaultError
 
@@ -586,20 +587,12 @@ def run_fault_matrix(quick: bool = True, progress=None) -> FaultReport:
     """
     outcomes: list[FaultOutcome] = []
     scenarios = fault_scenarios(quick=quick)
-    with tempfile.TemporaryDirectory(prefix="repro-faults-") as tmp:
-        saved = os.environ.get("REPRO_CACHE_DIR")
-        os.environ["REPRO_CACHE_DIR"] = tmp
-        try:
-            for scenario in scenarios:
-                if progress is not None:
-                    progress(scenario.scenario_id)
-                try:
-                    outcomes.append(scenario.run(scenario))
-                except Exception as exc:  # noqa: BLE001 - harness must not die
-                    outcomes.append(_unexpected(scenario, exc))
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_CACHE_DIR"] = saved
+    with tempfile.TemporaryDirectory(prefix="repro-faults-") as tmp, cache_sandbox(tmp):
+        for scenario in scenarios:
+            if progress is not None:
+                progress(scenario.scenario_id)
+            try:
+                outcomes.append(scenario.run(scenario))
+            except Exception as exc:  # noqa: BLE001 - harness must not die
+                outcomes.append(_unexpected(scenario, exc))
     return FaultReport(mode="quick" if quick else "full", outcomes=outcomes)

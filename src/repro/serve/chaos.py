@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import pathlib
 import tempfile
 import time
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.perf import default_store
+from repro.perf import cache_sandbox, default_store
 from repro.robust.injection import FaultOutcome, FaultReport
 from repro.serve.admission import TenantPolicy
 from repro.serve.client import ServeClient, ServeUnavailableError
@@ -74,17 +73,9 @@ class ServeScenario:
 def _isolated_host(config: ServeConfig):
     """A live service thread inside its own REPRO_CACHE_DIR sandbox."""
     with tempfile.TemporaryDirectory(prefix="repro-serve-chaos-") as tmp:
-        saved = os.environ.get("REPRO_CACHE_DIR")
-        os.environ["REPRO_CACHE_DIR"] = tmp
-        try:
-            with ServiceThread(config) as host:
-                client = ServeClient(port=host.port, tenant="chaos")
-                yield host, client, pathlib.Path(tmp)
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_CACHE_DIR"] = saved
+        with cache_sandbox(tmp), ServiceThread(config) as host:
+            client = ServeClient(port=host.port, tenant="chaos")
+            yield host, client, pathlib.Path(tmp)
 
 
 def _recovery_problems(host, client) -> list[str]:

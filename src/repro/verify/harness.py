@@ -196,83 +196,82 @@ def _surface_fingerprint_checks() -> list[CheckResult]:
     A mismatch means the (de)serialisation pipeline altered the surface
     bytes — exactly the drift the fingerprint exists to catch.
     """
-    import os
     import pathlib
     import tempfile
 
     import numpy as np
 
     from repro.core.two_tone import precharacterize
-    from repro.perf import ShardedSurfaceCache, payload_fingerprint, using_store
+    from repro.perf import (
+        ShardedSurfaceCache,
+        cache_sandbox,
+        payload_fingerprint,
+        using_store,
+    )
     from repro.verify.scenarios import FAMILIES
 
     checks = []
-    no_cache = os.environ.pop("REPRO_NO_CACHE", None)
-    try:
-        with tempfile.TemporaryDirectory(prefix="repro-fp-check-") as tmp:
-            for family in ("tanh", "skewed", "diffpair", "tunnel"):
-                name = f"surface-fingerprint/{family}"
-                try:
-                    nonlinearity, _tank = FAMILIES[family]()
-                    root = pathlib.Path(tmp) / family
-                    with using_store(ShardedSurfaceCache(root)):
-                        precharacterize(
-                            nonlinearity, np.linspace(0.1, 1.0, 31), [0.03], 3
-                        )
-                    # A new store reads the record back from disk.
-                    store = ShardedSurfaceCache(root)
-                    (path,) = store.records()
-                    record = store.get(path.parent.parent.name, path.stem)
-                    if record is None:
-                        checks.append(
-                            CheckResult(
-                                name,
-                                "FAIL",
-                                detail="stored record unreadable on re-get",
-                            )
-                        )
-                        continue
-                    loaded_arrays, loaded_meta = record
-                    stored = loaded_meta.get("fingerprint")
-                    recomputed = payload_fingerprint(loaded_arrays)
-                    if not stored:
-                        checks.append(
-                            CheckResult(
-                                name, "FAIL", detail="record carries no fingerprint"
-                            )
-                        )
-                    elif stored != recomputed:
-                        checks.append(
-                            CheckResult(
-                                name,
-                                "FAIL",
-                                detail=(
-                                    f"stored {stored[:12]}... != recomputed "
-                                    f"{recomputed[:12]}..."
-                                ),
-                            )
-                        )
-                    else:
-                        checks.append(
-                            CheckResult(
-                                name,
-                                "PASS",
-                                deviation=0.0,
-                                tolerance=0.0,
-                                detail=f"round-trip fingerprint {stored[:12]}...",
-                            )
-                        )
-                except Exception as exc:  # a crashing check is itself a finding
+    with cache_sandbox(), tempfile.TemporaryDirectory(prefix="repro-fp-check-") as tmp:
+        for family in ("tanh", "skewed", "diffpair", "tunnel"):
+            name = f"surface-fingerprint/{family}"
+            try:
+                nonlinearity, _tank = FAMILIES[family]()
+                root = pathlib.Path(tmp) / family
+                with using_store(ShardedSurfaceCache(root)):
+                    precharacterize(
+                        nonlinearity, np.linspace(0.1, 1.0, 31), [0.03], 3
+                    )
+                # A new store reads the record back from disk.
+                store = ShardedSurfaceCache(root)
+                (path,) = store.records()
+                record = store.get(path.parent.parent.name, path.stem)
+                if record is None:
                     checks.append(
                         CheckResult(
                             name,
-                            "ERROR",
-                            detail=f"{type(exc).__name__}: {exc}",
+                            "FAIL",
+                            detail="stored record unreadable on re-get",
                         )
                     )
-    finally:
-        if no_cache is not None:
-            os.environ["REPRO_NO_CACHE"] = no_cache
+                    continue
+                loaded_arrays, loaded_meta = record
+                stored = loaded_meta.get("fingerprint")
+                recomputed = payload_fingerprint(loaded_arrays)
+                if not stored:
+                    checks.append(
+                        CheckResult(
+                            name, "FAIL", detail="record carries no fingerprint"
+                        )
+                    )
+                elif stored != recomputed:
+                    checks.append(
+                        CheckResult(
+                            name,
+                            "FAIL",
+                            detail=(
+                                f"stored {stored[:12]}... != recomputed "
+                                f"{recomputed[:12]}..."
+                            ),
+                        )
+                    )
+                else:
+                    checks.append(
+                        CheckResult(
+                            name,
+                            "PASS",
+                            deviation=0.0,
+                            tolerance=0.0,
+                            detail=f"round-trip fingerprint {stored[:12]}...",
+                        )
+                    )
+            except Exception as exc:  # a crashing check is itself a finding
+                checks.append(
+                    CheckResult(
+                        name,
+                        "ERROR",
+                        detail=f"{type(exc).__name__}: {exc}",
+                    )
+                )
     return checks
 
 

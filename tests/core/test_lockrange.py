@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import TwoToneDF, predict_lock_range, solve_lock_states
+from repro.core.averaging import SlowFlow
 from repro.core.isolines import build_isoline_picture
 from repro.core.lockrange import NoLockError, lock_range_by_frequency_scan
+from repro.core.stability import classify_by_jacobian
 from repro.nonlin import NegativeTanh
 from repro.tank import ParallelRLC
 
@@ -127,6 +129,31 @@ class TestPredictLockRange:
             predict_lock_range(
                 tanh, tank, amplitude_window=(0.4, 1.6), df=df, **requested
             )
+
+
+class TestDenseReferee:
+    """``method="dense"`` runs the same solver on the exact quadrature."""
+
+    @pytest.fixture(scope="class")
+    def dense(self, setup):
+        tanh, tank = setup
+        return predict_lock_range(tanh, tank, v_i=0.03, n=3, method="dense")
+
+    def test_stability_matches_the_reference_rule(self, setup, dense):
+        # The batched trace/det rule, refereed by the scalar eigenvalue
+        # classifier on the averaged flow at each sample's own frequency.
+        tanh, tank = setup
+        df = TwoToneDF(tanh, 0.03, 3, method="dense")
+        assert dense.samples
+        for p in dense.samples:
+            flow = SlowFlow(df, tank, p.w_i)
+            assert p.stable == classify_by_jacobian(flow, p.amplitude, p.phi).stable, p
+
+    def test_edges_match_fft_path(self, dense, lock_range):
+        # Same solver, two evaluators that agree to ~1e-18 A on this law.
+        width = dense.width
+        assert abs(dense.injection_lower - lock_range.injection_lower) < 1e-6 * width
+        assert abs(dense.injection_upper - lock_range.injection_upper) < 1e-6 * width
 
 
 @pytest.mark.parametrize(

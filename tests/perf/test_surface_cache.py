@@ -2,6 +2,7 @@
 invalidation, hygiene."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.obs import metrics
 from repro.perf import (
     SurfaceCache,
     array_hash,
+    cache_sandbox,
     combine_keys,
     default_store,
     nonlinearity_fingerprint,
@@ -146,6 +148,27 @@ class TestDisableSwitch:
         monkeypatch.delenv("REPRO_NO_CACHE")
         assert cache.get(KEY_A) is not None
         assert cache.get(KEY_B) is None
+
+
+class TestCacheSandbox:
+    def test_sets_both_variables_and_restores_them(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", "outer")
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        with cache_sandbox(tmp_path):
+            assert os.environ["REPRO_CACHE_DIR"] == str(tmp_path)
+            assert "REPRO_NO_CACHE" not in os.environ
+            assert default_store().root == tmp_path / "surfaces"
+        assert os.environ["REPRO_CACHE_DIR"] == "outer"
+        assert os.environ["REPRO_NO_CACHE"] == "1"
+
+    def test_disabled_keeps_the_root_and_restores_absence(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", "outer")
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        with pytest.raises(RuntimeError), cache_sandbox(disabled=True):
+            assert os.environ["REPRO_CACHE_DIR"] == "outer"
+            assert os.environ["REPRO_NO_CACHE"] == "1"
+            raise RuntimeError("the block failed")
+        assert "REPRO_NO_CACHE" not in os.environ
 
 
 class TestDefaultCacheResolution:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import predict_lock_range
-from repro.core.lockrange import NoLockError
+from repro.core.lockrange import NoLockError, predict_lock_ranges
 from repro.sweep import SweepPoint, SweepSpec, run_sweep, run_sweep_pointwise
 from repro.verify.scenarios import FAMILIES
 
@@ -115,6 +115,31 @@ class TestGroupsBitForBit:
             assert outcome.lock.injection_lower == reference.injection_lower
             assert outcome.lock.injection_upper == reference.injection_upper
             assert outcome.lock.samples == reference.samples
+
+
+class TestDenseGroupsBitForBit:
+    """The dense referee's lockstep path: a group's edges refine through
+    one stack of exact-quadrature callables, one per ``V_i``.  Each row
+    must be what that ``V_i`` gets solved alone."""
+
+    @pytest.mark.parametrize(
+        "family, n, v_is",
+        [
+            ("tanh", 3, (0.02, 0.05)),
+            ("diffpair", 3, (0.015, 0.035)),
+            ("tunnel", 2, (0.012, 0.025)),
+        ],
+    )
+    def test_group_matches_each_v_i_alone(self, family, n, v_is):
+        nonlinearity, tank = FAMILIES[family]()
+        grid = dict(n=n, n_a=41, n_phi=81, n_samples=128, method="dense")
+        group = predict_lock_ranges(nonlinearity, tank, v_is=v_is, **grid)
+        for v_i, together in zip(v_is, group):
+            (alone,) = predict_lock_ranges(nonlinearity, tank, v_is=[v_i], **grid)
+            assert not isinstance(together, Exception), together
+            assert together.injection_lower == alone.injection_lower
+            assert together.injection_upper == alone.injection_upper
+            assert together.samples == alone.samples
 
 
 class TestPropertyTanh:
